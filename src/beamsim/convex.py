@@ -12,17 +12,24 @@ Three programs over the lifted real weight vector w_bar in R^{2N}:
 * SMINR_AMP    -- maximize the amplitude SMINR over the same feasible set.
 
 All programs are solved on the lifted real vector where every quantity is a
-function of Re{w h_j} and ||w||. The inner NLP solver is SLSQP, followed by
-a tangent-space Newton polish on the unit sphere for the smooth MPE
-objectives.
+function of Re{w h_j} and ||w||. Every solve starts from the feasibility
+phase: the maximum reduced margin over the unit ball, computed exactly as a
+bounded-variable least-squares problem (BVLS) together with a duality-gap
+certificate. It depends only on the channel, the user and the
+constellations, so callers may compute it once and share it across noise
+levels and program kinds. It alone solves SMINR_AMP; an instance without a
+positive margin is INFEASIBLE and gets no weights. The MPE programs then run
+SLSQP from the maximum-margin point, followed by a tangent-space Newton
+polish on the unit sphere.
 """
 
 import csv
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import minimize, nnls
+from scipy.optimize import lsq_linear, minimize, nnls
 from scipy.special import erfc
 
 from .beamformers import lift_channel, unlift_weights
@@ -37,6 +44,7 @@ INFEASIBLE = "INFEASIBLE"
 MAX_ITER = "MAX_ITER"
 
 TOL_FEAS = 1e-9
+TOL_KKT = 1e-6
 MAX_FULL_TUPLES = 10**6
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -105,14 +113,32 @@ class ConvexProgram:
         return float(w_bar @ self.a) - float(np.sum(np.abs(self.U @ w_bar)))
 
 
+class Feasibility(NamedTuple):
+    """Certified maximum of the reduced margin over the unit ball.
+
+    ``margin`` is ||g*||, the exact maximum; ``w_bar`` is the unit maximizer
+    g*/||g*||, or None when ``margin`` < ``TOL_FEAS``; ``gap`` is
+    |margin - reduced_margin(w_bar)|, zero up to rounding at an exact BVLS
+    solution (nan without a maximizer).
+    """
+
+    margin: float
+    w_bar: np.ndarray
+    gap: float
+    iterations: int
+
+
 @dataclass
 class SolveReport:
+    """Outcome of ``solve``; ``weights`` is None for an INFEASIBLE instance."""
+
     weights: np.ndarray
     objective_value: float
     margin: float
     status: str
     iterations: int
     kkt_residual: float
+    feasibility: Feasibility
 
 
 def _sign_pattern_margins(a: np.ndarray, U: np.ndarray) -> np.ndarray:
@@ -163,71 +189,34 @@ def feasibility_phase(H: np.ndarray, k: int, constellations):
     """Maximize the reduced margin over the unit ball.
 
     Returns (max_margin, w_feas) where w_feas is the maximizing unit-norm
-    complex weight vector, or (max_margin, None) when no direction attains a
-    positive margin.
+    complex weight vector. When no direction attains a positive margin the
+    maximum is 0 (attained at w = 0): the result is then (max_margin, None)
+    with max_margin the certified BVLS value, below ``TOL_FEAS``.
     """
     program = ConvexProgram(SMINR_AMP, H, k, tuple(constellations), sigma_z=1.0)
-    margin, w_bar, _ = _maximize_margin(program)
-    if margin < TOL_FEAS:
-        return margin, None
-    return margin, unlift_weights(w_bar)
+    feas = _maximize_margin(program)
+    return feas.margin, None if feas.w_bar is None else unlift_weights(feas.w_bar)
 
 
-def _maximize_margin(program: ConvexProgram):
-    """Slack-variable SLSQP solve of max reduced margin s.t. ||w|| <= 1.
+def _maximize_margin(program: ConvexProgram) -> Feasibility:
+    """Maximum of a . w - sum_j |u_j . w| over ||w|| <= 1, by bounded least squares.
 
-    Variables x = [w_bar, t] with t_j >= |w_bar . u_j|; maximize
-    w_bar . a - sum t. Returns (margin, unit w_bar, iterations).
+    By the minimax theorem the maximum equals min over t in [-1, 1]^(K-1) of
+    ||a - U^T t||, the distance from the origin to the zonotope spanned by
+    the peak interferer directions around a (Stark & Parker, Bounded-Variable
+    Least-Squares, 1995). With g* = a - U^T t* the maximizer is g*/||g*||.
     """
     a, U = program.a, program.U
-    dim, m = a.size, U.shape[0]
-
-    def fun(x):
-        return -(x[:dim] @ a) + np.sum(x[dim:])
-
-    def jac(x):
-        g = np.empty(dim + m)
-        g[:dim] = -a
-        g[dim:] = 1.0
-        return g
-
-    cons = [
-        {
-            "type": "ineq",
-            "fun": lambda x: 1.0 - x[:dim] @ x[:dim],
-            "jac": lambda x: np.concatenate([-2.0 * x[:dim], np.zeros(m)]),
-        }
-    ]
-    if m:
-        A = np.zeros((2 * m, dim + m))
-        A[:m, :dim] = -U
-        A[:m, dim:] = np.eye(m)
-        A[m:, :dim] = U
-        A[m:, dim:] = np.eye(m)
-        cons.append({"type": "ineq", "fun": lambda x: A @ x, "jac": lambda x: A})
-
-    x0 = np.zeros(dim + m)
-    x0[:dim] = a / np.linalg.norm(a)
-    if m:
-        x0[dim:] = np.abs(U @ x0[:dim]) + 1e-12
-    best = None
-    for _ in range(2):
-        res = minimize(
-            fun,
-            x0,
-            jac=jac,
-            method="SLSQP",
-            constraints=cons,
-            options={"maxiter": 500, "ftol": 1e-14},
-        )
-        if best is None or res.fun < best.fun:
-            best = res
-        x0 = res.x
-    w_bar = best.x[:dim]
-    norm = np.linalg.norm(w_bar)
-    if norm > 0:
-        w_bar = w_bar / norm
-    return program.reduced_margin(w_bar), w_bar, int(best.nit)
+    if U.shape[0]:
+        res = lsq_linear(U.T, a, bounds=(-1.0, 1.0), method="bvls")
+        g, iterations = a - U.T @ res.x, int(res.nit)
+    else:
+        g, iterations = a, 0
+    margin = float(np.linalg.norm(g))
+    if margin < TOL_FEAS:
+        return Feasibility(margin, None, float("nan"), iterations)
+    w_bar = g / margin
+    return Feasibility(margin, w_bar, abs(margin - program.reduced_margin(w_bar)), iterations)
 
 
 def random_feasible_start(program: ConvexProgram, rng: np.random.Generator, w_feas=None):
@@ -236,12 +225,9 @@ def random_feasible_start(program: ConvexProgram, rng: np.random.Generator, w_fe
     Blends a random direction toward the maximum-margin point until the
     margin is positive. Used for solver-uniqueness checks.
     """
-    if w_feas is None:
-        margin, w_bar, _ = _maximize_margin(program)
-        if margin < TOL_FEAS:
-            raise ValueError("program is infeasible; no feasible start exists")
-    else:
-        w_bar = w_feas
+    w_bar = w_feas if w_feas is not None else _maximize_margin(program).w_bar
+    if w_bar is None:
+        raise ValueError("program is infeasible; no feasible start exists")
     for _ in range(64):
         v = rng.standard_normal(program.dimension)
         v /= np.linalg.norm(v)
@@ -306,39 +292,31 @@ def _kkt_residual(program: ConvexProgram, w_bar: np.ndarray, grad: np.ndarray) -
     return float(resid)
 
 
-def solve(program: ConvexProgram, start: np.ndarray = None, trace_path: str = None) -> SolveReport:
+def solve(program: ConvexProgram, start: np.ndarray = None, trace_path: str = None,
+          feasible: Feasibility = None) -> SolveReport:
     """Solve one convex beamforming program.
 
-    Runs the feasibility phase first; an instance whose maximum reduced
-    margin falls below ``TOL_FEAS`` is reported INFEASIBLE (error-floor
-    regime) and the caller decides on a fallback. ``start`` optionally
-    overrides the warm start with a lifted feasible point.
+    Runs the feasibility phase first, unless ``feasible`` hands in its result
+    for the same channel, user and constellations (it depends on neither
+    sigma_z nor the program kind). An instance whose maximum reduced margin
+    falls below ``TOL_FEAS`` is reported INFEASIBLE (error-floor regime) with
+    no weights, a nan KKT residual and the certified maximum as ``margin``;
+    the caller decides on a fallback. SMINR_AMP is solved by the feasibility
+    phase itself and reports its duality gap as ``kkt_residual``. ``start``
+    optionally overrides the MPE warm start with a lifted feasible point.
     """
-    margin_max, w_feas, feas_iters = _maximize_margin(program)
-    trace = []
-    if margin_max < TOL_FEAS:
-        value, grad = objective_and_gradient(program, w_feas)
-        return SolveReport(
-            weights=unlift_weights(w_feas),
-            objective_value=value,
-            margin=program.reduced_margin(w_feas),
-            status=INFEASIBLE,
-            iterations=feas_iters,
-            kkt_residual=float("nan"),
-        )
+    feas = feasible if feasible is not None else _maximize_margin(program)
+    if feas.w_bar is None:
+        return SolveReport(None, float("nan"), feas.margin, INFEASIBLE,
+                           feas.iterations, float("nan"), feas)
 
     if program.kind == SMINR_AMP:
-        value, grad = objective_and_gradient(program, w_feas)
-        report = SolveReport(
-            weights=unlift_weights(w_feas),
-            objective_value=value,
-            margin=program.reduced_margin(w_feas),
-            status=OPTIMAL,
-            iterations=feas_iters,
-            kkt_residual=_kkt_residual(program, w_feas, -grad),
-        )
-        _write_trace(trace_path, trace)
-        return report
+        _write_trace(trace_path, [])
+        value, _ = objective_and_gradient(program, feas.w_bar)
+        status = OPTIMAL if feas.gap <= TOL_KKT else MAX_ITER
+        return SolveReport(unlift_weights(feas.w_bar), value,
+                           program.reduced_margin(feas.w_bar), status,
+                           feas.iterations, feas.gap, feas)
 
     cons = [
         {
@@ -353,56 +331,46 @@ def solve(program: ConvexProgram, start: np.ndarray = None, trace_path: str = No
         },
     ]
 
-    def fun(x):
-        v, g = objective_and_gradient(program, x)
-        return v, g
-
-    starts = [start] if start is not None else [w_feas]
-    iterations = feas_iters
-    best_w, best_f = None, np.inf
-    for x0 in starts:
-        x = np.asarray(x0, dtype=float)
-        for _ in range(2):
-            res = minimize(
-                fun,
-                x,
-                jac=True,
-                method="SLSQP",
-                constraints=cons,
-                options={"maxiter": 400, "ftol": 1e-16},
-            )
-            iterations += int(res.nit)
-            x = res.x
-            if trace_path is not None:
-                v, _ = objective_and_gradient(program, x)
-                trace.append((iterations, v, program.reduced_margin(x)))
-            if res.nit <= 1:
-                break
-        norm = np.linalg.norm(x)
-        if norm > 0:
-            x = x / norm
-        v, _ = objective_and_gradient(program, x)
-        if v < best_f:
-            best_w, best_f = x, v
+    trace = []
+    iterations = feas.iterations
+    x = np.asarray(start if start is not None else feas.w_bar, dtype=float)
+    for _ in range(2):
+        res = minimize(
+            lambda x: objective_and_gradient(program, x),
+            x,
+            jac=True,
+            method="SLSQP",
+            constraints=cons,
+            options={"maxiter": 400, "ftol": 1e-16},
+        )
+        iterations += int(res.nit)
+        x = res.x
+        if trace_path is not None:
+            v, _ = objective_and_gradient(program, x)
+            trace.append((iterations, v, program.reduced_margin(x)))
+        if res.nit <= 1:
+            break
+    norm = np.linalg.norm(x)
+    best_w = x / norm if norm > 0 else x
 
     # the norm constraint is always active at the optimum; polish on the sphere
     if np.min(program.G_constraints @ best_w) > 1e-9:
         best_w, best_f, grad = _sphere_newton_polish(program, best_w)
     else:
-        _, grad = objective_and_gradient(program, best_w)
+        best_f, grad = objective_and_gradient(program, best_w)
     if trace_path is not None:
         trace.append((iterations, best_f, program.reduced_margin(best_w)))
         _write_trace(trace_path, trace)
 
     kkt = _kkt_residual(program, best_w, grad)
-    status = OPTIMAL if kkt <= 1e-6 else MAX_ITER
     return SolveReport(
         weights=unlift_weights(best_w),
         objective_value=best_f,
         margin=program.reduced_margin(best_w),
-        status=status,
+        status=OPTIMAL if kkt <= TOL_KKT else MAX_ITER,
         iterations=iterations,
         kkt_residual=kkt,
+        feasibility=feas,
     )
 
 

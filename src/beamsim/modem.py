@@ -1,5 +1,6 @@
 """PAM constellations, symbol generation, and the threshold decision rule."""
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -126,16 +127,23 @@ def enumerate_interferers(constellations, k: int) -> InterfererTupleSet:
     """Enumerate symbol-value tuples for all users j != k, lexicographically.
 
     User indices ascend across columns and the amplitude index of the largest
-    j varies fastest, giving a deterministic ordering.
+    j varies fastest, giving a deterministic ordering. Results are memoized
+    on (constellations, k) and shared between callers, so ``tuples`` is
+    read-only.
     """
     n_users = len(constellations)
     if not 0 <= k < n_users:
         raise IndexError(f"user index {k} out of range 0..{n_users - 1}")
-    others = tuple(j for j in range(n_users) if j != k)
-    value_lists = [constellations[j].symbol_values() for j in others]
-    if not value_lists:
-        return InterfererTupleSet(users=(), tuples=np.zeros((1, 0)))
-    tuples = np.array(list(itertools.product(*value_lists)))
+    return _enumerate_interferers(tuple(constellations), k)
+
+
+@functools.lru_cache(maxsize=64)
+def _enumerate_interferers(constellations: tuple, k: int) -> InterfererTupleSet:
+    others = tuple(j for j in range(len(constellations)) if j != k)
+    # with no interferers the product holds one empty tuple: shape (1, 0)
+    tuples = np.array(list(itertools.product(
+        *(constellations[j].symbol_values() for j in others))), dtype=float)
+    tuples.setflags(write=False)
     return InterfererTupleSet(users=others, tuples=tuples)
 
 

@@ -158,11 +158,13 @@ def sum_rate(ser_per_user, constellations) -> float:
     return float(sum(c.bits_per_symbol * (1.0 - s) for c, s in zip(constellations, ser)))
 
 
-def _method_weights(method, H_csi, constellations, sigma_z):
+def _method_weights(method, H_csi, constellations, sigma_z, feasible):
     """Per-user weights of one method from the available CSI.
 
     Returns (weights list, infeasible flags); infeasible solver instances
-    fall back to MMSE weights.
+    fall back to MMSE weights. ``feasible`` maps a user to the feasibility
+    phase of its first solve on this H_csi and is filled on first use: the
+    phase depends on neither sigma_z nor the program kind.
     """
     K = H_csi.shape[1]
     energies = [c.average_energy for c in constellations]
@@ -179,7 +181,8 @@ def _method_weights(method, H_csi, constellations, sigma_z):
             program = convex.ConvexProgram(
                 SOLVER_KINDS[method], H_csi, k, tuple(constellations), sigma_z
             )
-            report = convex.solve(program)
+            report = convex.solve(program, feasible=feasible.get(k))
+            feasible[k] = report.feasibility
             if report.status == convex.INFEASIBLE:
                 w = beamformers.mmse(H_csi, k, sigma_z, energies)
                 flag = True
@@ -215,12 +218,14 @@ def _run_realization(scenario: Scenario, r_index: int, tuple_sets):
         noise_re = rng_noise.standard_normal(clean.shape)
         noise_im = rng_noise.standard_normal(clean.shape)
 
+    feasible = {}
     for si, snr_db in enumerate(scenario.snr_grid_db):
         sigma_z = snr_db_to_sigma(snr_db)
         if n_sym > 0:
             r_block = clean + sigma_z / np.sqrt(2.0) * (noise_re + 1j * noise_im)
         for mi, method in enumerate(scenario.methods):
-            weights, flags = _method_weights(method, H_csi, scenario.users, sigma_z)
+            weights, flags = _method_weights(method, H_csi, scenario.users, sigma_z,
+                                             feasible)
             for k, w in enumerate(weights):
                 infeas[mi, si, k] = int(flags[k])
                 pe[mi, si, k] = analysis.exact_pe(

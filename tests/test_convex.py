@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from beamsim import analysis, beamformers, channel, convex, modem
 
@@ -184,3 +187,89 @@ class TestFeasibility:
             x = convex.random_feasible_start(prog, rng, w_feas=beamformers.lift_weights(w_feas))
             assert np.linalg.norm(x) <= 1 + 1e-12
             assert prog.reduced_margin(x) > 0
+
+
+def lp_max_margin(prog):
+    """Independent oracle: max a.w - sum t subject to +-U w <= t, ||w||_inf <= 1.
+
+    The optimum is positive exactly when some direction has a positive
+    reduced margin; its scale differs from the unit-ball maximum.
+    """
+    a, U = prog.a, prog.U
+    n, m = a.size, U.shape[0]
+    eye = np.eye(m)
+    res = linprog(
+        np.concatenate([-a, np.ones(m)]),
+        A_ub=np.block([[U, -eye], [-U, -eye]]),
+        b_ub=np.zeros(2 * m),
+        bounds=[(-1.0, 1.0)] * n + [(None, None)] * m,
+        method="highs",
+    )
+    assert res.status == 0
+    return -res.fun
+
+
+class TestBvlsFeasibility:
+    @pytest.mark.parametrize("N", [1, 2, 4])
+    def test_verdict_matches_linprog_oracle(self, N):
+        rng = np.random.default_rng(40 + N)
+        cs = [modem.unit_energy_pam(8)] * 4
+        for _ in range(25):
+            H = channel.sample_channel(N, 4, rng)
+            for k in range(4):
+                prog = convex.ConvexProgram(convex.SMINR_AMP, H, k, cs, 1.0)
+                feasible = convex._maximize_margin(prog).w_bar is not None
+                assert feasible == (lp_max_margin(prog) > convex.TOL_FEAS)
+
+    @pytest.mark.parametrize("N", [1, 2, 4])
+    def test_margin_dominates_closed_form_weights(self, N):
+        rng = np.random.default_rng(50 + N)
+        cs = [modem.unit_energy_pam(8)] * 4
+        for _ in range(25):
+            H = channel.sample_channel(N, 4, rng)
+            for k in range(4):
+                prog = convex.ConvexProgram(convex.SMINR_AMP, H, k, cs, 1.0)
+                margin = convex._maximize_margin(prog).margin
+                weights = [beamformers.sminr_closed_form(H, k, cs)]
+                if N >= 4:  # zero forcing needs N >= K
+                    weights.append(beamformers.zf(H, k))
+                for w in weights:
+                    w_bar = beamformers.lift_weights(w) / np.linalg.norm(w)
+                    assert margin >= prog.reduced_margin(w_bar) - 1e-12
+
+    def test_sminr_amp_gap_certifies_optimum(self):
+        rng = np.random.default_rng(44)
+        cs = [modem.unit_energy_pam(8)] * 4
+        for _ in range(10):
+            H = channel.sample_channel(4, 4, rng)
+            for k in range(4):
+                rep = convex.solve(convex.ConvexProgram(convex.SMINR_AMP, H, k, cs, 0.1))
+                assert rep.status == convex.OPTIMAL
+                assert 0.0 <= rep.kkt_residual <= 1e-9
+                assert rep.margin == pytest.approx(rep.feasibility.margin, rel=1e-9)
+
+    def test_infeasible_report_has_no_weights(self):
+        # one antenna cannot give user 0 a positive margin against three
+        # 8-PAM interferers on this draw (nor on almost any other)
+        H = channel.sample_channel(1, 4, np.random.default_rng(45))
+        cs = [modem.unit_energy_pam(8)] * 4
+        margin, w_feas = convex.feasibility_phase(H, 0, cs)
+        assert w_feas is None
+        assert 0.0 <= margin < convex.TOL_FEAS
+        for kind in (convex.MPE_FULL, convex.MPE_REDUCED, convex.SMINR_AMP):
+            rep = convex.solve(convex.ConvexProgram(kind, H, 0, cs, 0.1))
+            assert rep.status == convex.INFEASIBLE
+            assert rep.weights is None
+            assert math.isnan(rep.kkt_residual)
+            assert rep.margin == margin
+
+    def test_shared_feasibility_gives_identical_solve(self):
+        prog_amp, H, cs = make_program(46, convex.SMINR_AMP, sigma=1.0)
+        shared = convex.solve(prog_amp).feasibility
+        for kind in (convex.MPE_FULL, convex.MPE_REDUCED):
+            prog = convex.ConvexProgram(kind, H, 0, cs, 0.1)
+            own = convex.solve(prog)
+            reused = convex.solve(prog, feasible=shared)
+            assert np.array_equal(own.weights, reused.weights)
+            assert own.objective_value == reused.objective_value
+            assert own.iterations == reused.iterations

@@ -128,6 +128,37 @@ class TestInterfererTuples:
             assert ts.count == expected
             assert len({tuple(np.round(t, 12)) for t in ts.tuples}) == ts.count
 
+    def test_tuples_are_read_only(self):
+        ts = modem.enumerate_interferers([modem.unit_energy_pam(4)] * 3, 0)
+        with pytest.raises(ValueError):
+            ts.tuples[0, 0] = 0.0
+
+    def test_list_and_tuple_inputs_agree(self):
+        cs = [modem.unit_energy_pam(L) for L in (2, 3, 4)]
+        for k in range(3):
+            from_list = modem.enumerate_interferers(cs, k)
+            from_tuple = modem.enumerate_interferers(tuple(cs), k)
+            assert from_list.users == from_tuple.users
+            assert np.array_equal(from_list.tuples, from_tuple.tuples)
+
+    def test_repeated_calls_keep_lexicographic_order(self):
+        cs = [modem.unit_energy_pam(L) for L in (2, 3, 4)]
+        expected = [
+            (a, b)
+            for a in cs[0].symbol_values()
+            for b in cs[2].symbol_values()
+        ]
+        for _ in range(2):
+            ts = modem.enumerate_interferers(cs, 1)
+            assert ts.users == (0, 2)
+            assert [tuple(t) for t in ts.tuples] == expected
+
+    def test_bad_user_index(self):
+        cs = [modem.unit_energy_pam(4)] * 3
+        for k in (-1, 3):
+            with pytest.raises(IndexError):
+                modem.enumerate_interferers(cs, k)
+
     def test_negation_closure(self):
         cs = [modem.unit_energy_pam(L) for L in (2, 4, 3)]
         ts = modem.enumerate_interferers(cs, 2)

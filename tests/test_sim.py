@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from beamsim import channel, modem, sim
+from beamsim import channel, convex, modem, sim
 
 
 def tiny_scenario(**kw):
@@ -139,6 +139,42 @@ class TestRunSweep:
         res = sim.run_sweep(s)
         for row in res.rows:
             assert row.pe_bound >= row.pe_analytic - 1e-14
+
+
+class TestSolverMethods:
+    def test_feasibility_runs_once_per_user_and_realization(self, monkeypatch):
+        calls = []
+        original = convex._maximize_margin
+
+        def counting(program):
+            calls.append(program.user)
+            return original(program)
+
+        monkeypatch.setattr(convex, "_maximize_margin", counting)
+        scenario = tiny_scenario(
+            methods=(sim.MPE_FULL, sim.MPE_REDUCED, sim.SMINR_AMP),
+            n_realizations=3, n_symbols=50,
+        )
+        sim.run_sweep(scenario)
+        # R = 3 realizations x K = 2 users, not once per SNR point and method
+        assert sorted(calls) == [0, 0, 0, 1, 1, 1]
+
+    def test_one_antenna_four_8pam_users_all_infeasible(self):
+        scenario = sim.Scenario(
+            n_antennas=1, users=(modem.unit_energy_pam(8),) * 4,
+            snr_grid_db=(10.0, 30.0), n_realizations=3, n_symbols=0,
+            methods=(sim.MMSE, sim.MPE_REDUCED, sim.MPE_FULL, sim.SMINR_AMP),
+            seed=5,
+        )
+        result = sim.run_sweep(scenario)
+        for row in result.rows:
+            mmse = result.row(sim.MMSE, row.snr_db)
+            if row.method == sim.MMSE:
+                assert row.infeasible_frac == 0.0
+            else:
+                # every instance falls back to the MMSE weights
+                assert row.infeasible_frac == 1.0
+                assert row.pe_analytic == mmse.pe_analytic
 
 
 class TestOutputFormats:
