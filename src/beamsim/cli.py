@@ -2,6 +2,7 @@
 
 import argparse
 import configparser
+import dataclasses
 import hashlib
 import json
 import os
@@ -107,10 +108,10 @@ def build_scenario(args) -> sim.Scenario:
             methods=methods,
             seed=int(values.get("seed", 0)),
         )
+        if getattr(args, "paper_scale", False):
+            scenario = scenario.paper_scale()
     except (ValueError, KeyError) as exc:
         raise ConfigError(str(exc)) from exc
-    if getattr(args, "paper_scale", False):
-        scenario = scenario.paper_scale()
     return scenario
 
 
@@ -119,7 +120,10 @@ def _n_workers(args) -> int:
         return max(1, args.threads)
     env = os.environ.get("BEAMSIM_THREADS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ConfigError(f"bad BEAMSIM_THREADS {env!r}, expected an integer") from None
     return os.cpu_count() or 1
 
 
@@ -166,15 +170,8 @@ def cmd_sweep(args) -> int:
 def cmd_rate(args) -> int:
     scenario = build_scenario(args)
     result = sim.run_sweep(scenario, n_workers=_n_workers(args))
-    qam_scenario = sim.Scenario(
-        n_antennas=scenario.n_antennas,
-        users=tuple(unit_energy_pam(8) for _ in range(2)),
-        snr_grid_db=scenario.snr_grid_db,
-        n_realizations=scenario.n_realizations,
-        n_symbols=scenario.n_symbols,
-        csi_error_var=scenario.csi_error_var,
-        methods=(sim.ZF, sim.MMSE),
-        seed=scenario.seed,
+    qam_scenario = dataclasses.replace(
+        scenario, users=(unit_energy_pam(8),) * 2, methods=(sim.ZF, sim.MMSE)
     )
     qam = sim.qam_reference_sweep(qam_scenario, qam_order=64,
                                   n_workers=_n_workers(args))
@@ -186,24 +183,12 @@ def cmd_rate(args) -> int:
 def cmd_csi(args) -> int:
     scenario = build_scenario(args)
     if not set(scenario.methods) <= {sim.ZF, sim.MMSE, sim.SMINR}:
-        scenario = sim.Scenario(
-            n_antennas=scenario.n_antennas, users=scenario.users,
-            snr_grid_db=scenario.snr_grid_db,
-            n_realizations=scenario.n_realizations,
-            n_symbols=scenario.n_symbols, csi_error_var=scenario.csi_error_var,
-            methods=(sim.ZF, sim.MMSE, sim.SMINR), seed=scenario.seed,
-        )
+        scenario = dataclasses.replace(scenario, methods=(sim.ZF, sim.MMSE, sim.SMINR))
     os.makedirs(args.out, exist_ok=True)
     lines = ["csi_var," + ",".join(sim.CSV_COLUMNS)]
     all_rows = []
     for var in (0.0, 0.001, 0.01):
-        s = sim.Scenario(
-            n_antennas=scenario.n_antennas, users=scenario.users,
-            snr_grid_db=scenario.snr_grid_db,
-            n_realizations=scenario.n_realizations,
-            n_symbols=scenario.n_symbols, csi_error_var=var,
-            methods=scenario.methods, seed=scenario.seed,
-        )
+        s = dataclasses.replace(scenario, csi_error_var=var)
         result = sim.imperfect_csi_sweep(s, n_workers=_n_workers(args))
         for line in result.to_csv().splitlines()[1:]:
             lines.append(f"{var:.17g},{line}")

@@ -18,9 +18,15 @@ bounded-variable least-squares problem (BVLS) together with a duality-gap
 certificate. It depends only on the channel, the user and the
 constellations, so callers may compute it once and share it across noise
 levels and program kinds. It alone solves SMINR_AMP; an instance without a
-positive margin is INFEASIBLE and gets no weights. The MPE programs then run
-SLSQP from the maximum-margin point, followed by a tangent-space Newton
-polish on the unit sphere.
+positive margin is INFEASIBLE and gets no weights.
+
+The MPE optimum lies on the unit sphere, where the feasible set is cut out
+by the homogeneous rows G w >= 0. The MPE programs are solved there by a
+sphere SQP from the maximum-margin point: each iteration takes the exact
+Riemannian Newton model in an orthonormal tangent basis, minimizes it
+subject to the linearized margin rows as a least-distance problem solved by
+NNLS, which handles active and degenerate (tied) rows, and backtracks along
+the normalizing retraction.
 """
 
 import csv
@@ -29,7 +35,8 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import lsq_linear, minimize, nnls
+from scipy.linalg import solve_triangular
+from scipy.optimize import lsq_linear, nnls
 from scipy.special import erfc
 
 from .beamformers import lift_channel, unlift_weights
@@ -48,6 +55,8 @@ TOL_KKT = 1e-6
 MAX_FULL_TUPLES = 10**6
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+_EPS = float(np.finfo(float).eps)
+_SQP_MAX_ITER = 50
 
 
 @dataclass
@@ -239,44 +248,71 @@ def random_feasible_start(program: ConvexProgram, rng: np.random.Generator, w_fe
     return w_bar
 
 
-def _sphere_newton_polish(program: ConvexProgram, w_bar: np.ndarray, max_iter=60):
-    """Riemannian Newton refinement of an MPE solution on the unit sphere.
+def _sphere_sqp(program: ConvexProgram, w0: np.ndarray):
+    """Minimize an MPE objective over the feasible part of the unit sphere.
 
-    Only applied while all margin constraints stay strictly feasible; each
-    step is Armijo-safeguarded against the objective.
+    Sequential quadratic programming on the sphere. Each step d minimizes
+    the Riemannian Newton model 1/2 d'Bd + g'Zd (Absil, Mahony & Sepulchre,
+    2008), where Z is an orthonormal basis of the tangent space at w and
+    B = Z' hess(f) Z - (g.w) I, subject to the linearized margin rows
+    G (w + Zd) >= 0. On the feasible set hess(f) is positive semidefinite
+    and g.w < 0, so B = LL' is positive definite and the step is the
+    least-distance problem min ||y|| over E y >= E h - G w with y = L'd + h,
+    h = L^-1 Z'g and E = G Z L^-T, solved by NNLS (Lawson & Hanson, 1974,
+    ch. 23). The rows are homogeneous, so every point of the retraction
+    (w + aZd)/||w + aZd|| with a in [0, 1] is feasible; an Armijo backtrack
+    picks a. The loop stops when the predicted or the realized decrease
+    reaches the rounding level of f, or after ``_SQP_MAX_ITER`` steps.
+
+    Returns (w, f, g, trace) with one (iteration, objective, margin) trace
+    row per accepted step. An objective or gradient that has underflowed to
+    zero leaves the start point as it is.
     """
-    w = w_bar / np.linalg.norm(w_bar)
+    G = program.G_constraints
+    n = w0.size
+    w = w0 / np.linalg.norm(w0)
     f, g = objective_and_gradient(program, w)
-    for it in range(max_iter):
-        P = np.eye(w.size) - np.outer(w, w)
-        grad_r = P @ g
-        gnorm = np.linalg.norm(grad_r)
-        if gnorm <= 1e-15:
+    e = np.zeros(n)
+    e[-1] = 1.0
+    trace = []
+    for iteration in range(1, _SQP_MAX_ITER + 1):
+        gw = float(g @ w)
+        if not (f > 0.0 and gw < 0.0):
             break
-        H = P @ _mpe_hessian(program, w) @ P - (g @ w) * P
-        # regularize toward gradient descent if curvature is indefinite
-        try:
-            step = np.linalg.lstsq(H + 1e-14 * np.eye(w.size), -grad_r, rcond=None)[0]
-        except np.linalg.LinAlgError:
-            step = -grad_r
-        step = P @ step
-        if step @ grad_r > 0:
-            step = -grad_r
-        accepted = False
-        scale = 1.0
+        # the Householder reflector taking w to -+e_0; its other columns span w-perp
+        v = w.copy()
+        v[0] += math.copysign(1.0, w[0])
+        Z = np.eye(n)[:, 1:] - np.outer(v, v[1:]) * (2.0 / (v @ v))
+        # B and Z'g scaled by 1/|g.w|, which leaves the step unchanged
+        B = Z.T @ _mpe_hessian(program, w) @ Z / -gw + np.eye(n - 1)
+        L = np.linalg.cholesky(B)
+        h = solve_triangular(L, Z.T @ g / -gw, lower=True)
+        Et = solve_triangular(L, (G @ Z).T, lower=True)
+        A = np.vstack([Et, h @ Et - G @ w])
+        u, _ = nnls(A, e)
+        r = A @ u - e
+        if not r[-1] < 0.0:
+            break
+        step = Z @ solve_triangular(L.T, -r[:-1] / r[-1] - h, lower=False)
+        slope = float(g @ step)
+        if not -slope > _EPS * f:
+            break
+        alpha = 1.0
         for _ in range(40):
-            cand = w + scale * step
+            cand = w + alpha * step
             cand /= np.linalg.norm(cand)
-            if np.min(program.G_constraints @ cand) >= -1e-12:
-                f_cand, g_cand = objective_and_gradient(program, cand)
-                if f_cand <= f + 1e-4 * scale * (grad_r @ step):
-                    w, f, g = cand, f_cand, g_cand
-                    accepted = True
-                    break
-            scale *= 0.5
-        if not accepted:
+            f_cand, g_cand = objective_and_gradient(program, cand)
+            if f_cand <= f + 1e-4 * alpha * slope:
+                break
+            alpha *= 0.5
+        else:
             break
-    return w, f, g
+        converged = f - f_cand <= 16.0 * _EPS * f
+        w, f, g = cand, f_cand, g_cand
+        trace.append((iteration, f, program.reduced_margin(w)))
+        if converged:
+            break
+    return w, f, g, trace
 
 
 def _kkt_residual(program: ConvexProgram, w_bar: np.ndarray, grad: np.ndarray) -> float:
@@ -302,8 +338,10 @@ def solve(program: ConvexProgram, start: np.ndarray = None, trace_path: str = No
     falls below ``TOL_FEAS`` is reported INFEASIBLE (error-floor regime) with
     no weights, a nan KKT residual and the certified maximum as ``margin``;
     the caller decides on a fallback. SMINR_AMP is solved by the feasibility
-    phase itself and reports its duality gap as ``kkt_residual``. ``start``
-    optionally overrides the MPE warm start with a lifted feasible point.
+    phase itself and reports its duality gap as ``kkt_residual``. The MPE
+    programs run ``_sphere_sqp``; their ``iterations`` count its steps and
+    ``trace_path`` gets one row per step. ``start`` optionally overrides the
+    MPE warm start with a lifted feasible point.
     """
     feas = feasible if feasible is not None else _maximize_margin(program)
     if feas.w_bar is None:
@@ -318,57 +356,17 @@ def solve(program: ConvexProgram, start: np.ndarray = None, trace_path: str = No
                            program.reduced_margin(feas.w_bar), status,
                            feas.iterations, feas.gap, feas)
 
-    cons = [
-        {
-            "type": "ineq",
-            "fun": lambda x: 1.0 - x @ x,
-            "jac": lambda x: -2.0 * x,
-        },
-        {
-            "type": "ineq",
-            "fun": lambda x: program.G_constraints @ x,
-            "jac": lambda x: program.G_constraints,
-        },
-    ]
-
-    trace = []
-    iterations = feas.iterations
-    x = np.asarray(start if start is not None else feas.w_bar, dtype=float)
-    for _ in range(2):
-        res = minimize(
-            lambda x: objective_and_gradient(program, x),
-            x,
-            jac=True,
-            method="SLSQP",
-            constraints=cons,
-            options={"maxiter": 400, "ftol": 1e-16},
-        )
-        iterations += int(res.nit)
-        x = res.x
-        if trace_path is not None:
-            v, _ = objective_and_gradient(program, x)
-            trace.append((iterations, v, program.reduced_margin(x)))
-        if res.nit <= 1:
-            break
-    norm = np.linalg.norm(x)
-    best_w = x / norm if norm > 0 else x
-
-    # the norm constraint is always active at the optimum; polish on the sphere
-    if np.min(program.G_constraints @ best_w) > 1e-9:
-        best_w, best_f, grad = _sphere_newton_polish(program, best_w)
-    else:
-        best_f, grad = objective_and_gradient(program, best_w)
-    if trace_path is not None:
-        trace.append((iterations, best_f, program.reduced_margin(best_w)))
-        _write_trace(trace_path, trace)
-
-    kkt = _kkt_residual(program, best_w, grad)
+    w_bar, value, grad, trace = _sphere_sqp(
+        program, np.asarray(start if start is not None else feas.w_bar, dtype=float)
+    )
+    _write_trace(trace_path, trace)
+    kkt = _kkt_residual(program, w_bar, grad)
     return SolveReport(
-        weights=unlift_weights(best_w),
-        objective_value=best_f,
-        margin=program.reduced_margin(best_w),
+        weights=unlift_weights(w_bar),
+        objective_value=value,
+        margin=program.reduced_margin(w_bar),
         status=OPTIMAL if kkt <= TOL_KKT else MAX_ITER,
-        iterations=iterations,
+        iterations=len(trace),
         kkt_residual=kkt,
         feasibility=feas,
     )

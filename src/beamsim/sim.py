@@ -2,8 +2,9 @@
 
 import json
 import math
+import numbers
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -43,22 +44,39 @@ class Scenario:
     seed: int = 0
 
     def __post_init__(self):
+        """Refuse every scenario that ``sweep.schema.json`` or the engine rules out.
+
+        The interferer tuple count of each user is checked by arithmetic,
+        before anything enumerates the tuples.
+        """
         self.users = tuple(self.users)
         self.snr_grid_db = tuple(float(s) for s in self.snr_grid_db)
         self.methods = tuple(self.methods)
         unknown = set(self.methods) - set(ALL_METHODS)
         if unknown:
             raise ValueError(f"unknown methods: {sorted(unknown)}")
-        if self.csi_error_var < 0:
-            raise ValueError("csi_error_var must be nonnegative")
+        for name, minimum in (("n_antennas", 1), ("n_realizations", 1),
+                              ("n_symbols", 0), ("seed", 0)):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+                    or value < minimum):
+                raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+        if not (math.isfinite(self.csi_error_var) and self.csi_error_var >= 0):
+            raise ValueError("csi_error_var must be finite and nonnegative")
+        if not self.snr_grid_db or not all(map(math.isfinite, self.snr_grid_db)):
+            raise ValueError("the SNR grid must be a non-empty list of finite values")
+        if not self.users:
+            raise ValueError("a scenario needs at least one user")
+        orders = [c.order for c in self.users]
+        tuples = max(math.prod(orders) // order for order in orders)
+        if tuples > convex.MAX_FULL_TUPLES:
+            raise ValueError(
+                f"{tuples} interferer tuples per user exceed the cap of "
+                f"{convex.MAX_FULL_TUPLES}"
+            )
 
     def paper_scale(self) -> "Scenario":
-        return Scenario(
-            n_antennas=self.n_antennas, users=self.users,
-            snr_grid_db=self.snr_grid_db, n_realizations=10_000,
-            n_symbols=1_000, csi_error_var=self.csi_error_var,
-            methods=self.methods, seed=self.seed,
-        )
+        return replace(self, n_realizations=10_000, n_symbols=1_000)
 
     def to_dict(self) -> dict:
         return {

@@ -1,8 +1,14 @@
 import json
+from pathlib import Path
 
+import jsonschema
 import pytest
 
 from beamsim import cli, sim
+
+SCHEMA = json.loads(
+    (Path(sim.__file__).parent / "schemas" / "sweep.schema.json").read_text()
+)
 
 FAST_ARGS = [
     "--users",
@@ -101,6 +107,7 @@ class TestCommands:
         csv_text = (out / "sweep.csv").read_text()
         assert csv_text.splitlines()[0].split(",") == list(sim.CSV_COLUMNS)
         doc = json.loads((out / "sweep.json").read_text())
+        jsonschema.validate(doc, SCHEMA)
         assert len(doc["rows"]) == 4
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["seed"] == 1
@@ -119,6 +126,7 @@ class TestCommands:
         rc = cli.main(["rate", *FAST_ARGS, "--methods", "ZF", "--out", str(out)])
         assert rc == 0
         doc = json.loads((out / "sweep.json").read_text())
+        jsonschema.validate(doc, SCHEMA)
         methods = {r["method"] for r in doc["rows"]}
         assert "ZF-QAM" in methods
 
@@ -132,6 +140,7 @@ class TestCommands:
         assert lines[0].startswith("csi_var,")
         variances = {line.split(",")[0] for line in lines[1:]}
         assert variances == {"0", "0.001", "0.01"}
+        jsonschema.validate(json.loads((out / "sweep.json").read_text()), SCHEMA)
 
     def test_check_quick(self, capsys):
         rc = cli.main(["check", "--quick"])
@@ -156,3 +165,27 @@ class TestCommands:
             ["sweep", "--threads", "2", *FAST_ARGS, "--out", "/tmp/x"]
         )
         assert cli._n_workers(ns) == 2
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("flags, env", [
+        (["--realizations", "0"], {}),
+        (["--realizations", "-3"], {}),
+        (["--symbols", "-5"], {}),
+        (["--antennas", "0"], {}),
+        (["--snr", "nan"], {}),
+        (["--snr", "0,inf"], {}),
+        (["--seed", "-1"], {}),
+        (["--users", "9x8pam"], {}),
+        ([], {"BEAMSIM_THREADS": "abc"}),
+    ])
+    def test_bad_input_exits_2(self, tmp_path, capsys, monkeypatch, flags, env):
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        out = tmp_path / "run"
+        rc = cli.main(["sweep", *FAST_ARGS, *flags, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+        assert not (out / "sweep.json").exists()

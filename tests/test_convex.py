@@ -2,9 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from scipy.optimize import linprog
+from scipy.optimize import linprog, minimize
 
-from beamsim import analysis, beamformers, channel, convex, modem
+from beamsim import analysis, beamformers, channel, convex, modem, sim
 
 
 def make_program(seed, kind, N=4, K=3, order=8, sigma=0.1, k=0):
@@ -166,6 +166,89 @@ class TestSolve:
         lines = path.read_text().strip().splitlines()
         assert len(lines) >= 2
         assert "objective" in lines[0]
+
+    @pytest.mark.parametrize("kind", [convex.MPE_FULL, convex.MPE_REDUCED])
+    def test_trace_has_one_row_per_iteration(self, tmp_path, kind):
+        rng = np.random.default_rng(47)
+        cs = [modem.unit_energy_pam(8)] * 4
+        for i in range(4):
+            H = channel.sample_channel(4, 4, rng)
+            prog = convex.ConvexProgram(kind, H, 0, cs, sim.snr_db_to_sigma(10.0))
+            path = tmp_path / f"trace-{i}.csv"
+            rep = convex.solve(prog, trace_path=str(path))
+            rows = path.read_text().strip().splitlines()[1:]
+            assert rep.iterations >= 1
+            assert [int(r.split(",")[0]) for r in rows] == list(range(1, rep.iterations + 1))
+            objectives = [float(r.split(",")[1]) for r in rows]
+            assert objectives == sorted(objectives, reverse=True)
+            assert objectives[-1] == rep.objective_value
+
+
+def slsqp_oracle(prog, w0):
+    """Objective of general-purpose SLSQP on the same program from w0.
+
+    Minimizes over the unit ball with the margin rows as linear constraints;
+    the result is scaled back into the ball if it ends outside by rounding.
+    """
+    constraints = [
+        {"type": "ineq", "fun": lambda x: 1.0 - x @ x, "jac": lambda x: -2.0 * x},
+        {"type": "ineq", "fun": lambda x: prog.G_constraints @ x,
+         "jac": lambda x: prog.G_constraints},
+    ]
+    res = minimize(lambda x: convex.objective_and_gradient(prog, x), w0, jac=True,
+                   method="SLSQP", constraints=constraints,
+                   options={"maxiter": 400, "ftol": 1e-16})
+    x = res.x / max(1.0, np.linalg.norm(res.x))
+    return convex.objective_and_gradient(prog, x)[0]
+
+
+class TestSphereSqp:
+    @pytest.mark.parametrize("snr_db", [0.0, 10.0, 20.0, 30.0])
+    def test_objective_at_most_slsqp_oracle(self, snr_db):
+        rng = np.random.default_rng(48)
+        cs = [modem.unit_energy_pam(8)] * 4
+        sigma = sim.snr_db_to_sigma(snr_db)
+        for _ in range(4):
+            H = channel.sample_channel(4, 4, rng)
+            for k in range(4):
+                feas = None
+                for kind in (convex.MPE_FULL, convex.MPE_REDUCED):
+                    prog = convex.ConvexProgram(kind, H, k, cs, sigma)
+                    rep = convex.solve(prog, feasible=feas)
+                    feas = rep.feasibility
+                    assert rep.status == convex.OPTIMAL
+                    assert rep.kkt_residual <= 1e-6
+                    oracle = slsqp_oracle(prog, feas.w_bar)
+                    assert rep.objective_value <= oracle * (1.0 + 1e-10)
+
+    def test_degenerate_active_rows(self):
+        # at 0 dB the optimum for user 0 on this draw zero-forces interferer
+        # 3, so the eight tuple rows that differ only in its symbol tie at
+        # zero margin
+        H = channel.sample_channel(4, 4, np.random.default_rng(2))
+        cs = [modem.unit_energy_pam(8)] * 4
+        prog = convex.ConvexProgram(convex.MPE_FULL, H, 0, cs, 1.0)
+        rep = convex.solve(prog)
+        w_bar = beamformers.lift_weights(rep.weights)
+        assert np.sum(prog.G_constraints @ w_bar <= 1e-9) >= 8
+        assert abs(prog.U[2] @ w_bar) <= 1e-9
+        assert rep.status == convex.OPTIMAL
+        assert rep.iterations >= 2
+        reduced = convex.solve(convex.ConvexProgram(convex.MPE_REDUCED, H, 0, cs, 1.0))
+        assert rep.objective_value == pytest.approx(reduced.objective_value, rel=1e-10)
+
+    def test_underflowed_gradient_keeps_start(self):
+        # at 60 dB every Q term of the maximum-margin point underflows to zero
+        H = channel.sample_channel(4, 4, np.random.default_rng(49))
+        cs = [modem.unit_energy_pam(8)] * 4
+        prog = convex.ConvexProgram(convex.MPE_FULL, H, 0, cs, sim.snr_db_to_sigma(60.0))
+        feas = convex._maximize_margin(prog)
+        assert not np.any(convex.objective_and_gradient(prog, feas.w_bar)[1])
+        rep = convex.solve(prog, feasible=feas)
+        assert np.array_equal(beamformers.lift_weights(rep.weights), feas.w_bar)
+        assert rep.iterations == 0
+        assert rep.kkt_residual == 0.0
+        assert rep.status == convex.OPTIMAL
 
 
 class TestFeasibility:

@@ -46,6 +46,23 @@ class TestScenario:
         with pytest.raises(ValueError):
             tiny_scenario(methods=("ZF", "DIRTYPAPER"))
 
+    @pytest.mark.parametrize("bad", [
+        dict(n_antennas=0), dict(n_antennas=2.5), dict(n_realizations=0),
+        dict(n_realizations=True), dict(n_symbols=-1), dict(seed=-1),
+        dict(snr_grid_db=()), dict(snr_grid_db=(0.0, math.nan)),
+        dict(csi_error_var=math.inf), dict(users=()),
+    ])
+    def test_rejects_what_the_schema_rules_out(self, bad):
+        with pytest.raises(ValueError):
+            tiny_scenario(**bad)
+
+    def test_tuple_cap(self):
+        # 8^6 = 262144 interferer tuples per user stay under the cap, 8^7 do not
+        pam8 = modem.unit_energy_pam(8)
+        assert len(tiny_scenario(users=(pam8,) * 7).users) == 7
+        with pytest.raises(ValueError, match="interferer tuples"):
+            tiny_scenario(users=(pam8,) * 8)
+
     def test_snr_conversion(self):
         assert sim.snr_db_to_sigma(0.0) == 1.0
         assert sim.snr_db_to_sigma(20.0) == pytest.approx(0.1, rel=1e-14)
