@@ -131,7 +131,6 @@ def _write_outputs(out_dir, scenario, result, extra=None):
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, "sweep.csv")
     json_path = os.path.join(out_dir, "sweep.json")
-    manifest_path = os.path.join(out_dir, "manifest.json")
     csv_text = result.to_csv()
     if extra:
         csv_text += "".join(
@@ -145,18 +144,23 @@ def _write_outputs(out_dir, scenario, result, extra=None):
     with open(json_path, "w", newline="\n") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
+    _write_manifest(out_dir, scenario, [csv_path, json_path])
+    return csv_path
+
+
+def _write_manifest(out_dir, scenario, outputs):
+    """Write manifest.json: scenario digest, code version, seed and outputs."""
     canonical = json.dumps(scenario.to_dict(), sort_keys=True).encode()
     manifest = {
         "scenario_digest": hashlib.sha256(canonical).hexdigest(),
         "code_version": __version__,
         "seed": scenario.seed,
         "created_unix": int(time.time()),
-        "outputs": [csv_path, json_path],
+        "outputs": outputs,
     }
-    with open(manifest_path, "w", newline="\n") as fh:
+    with open(os.path.join(out_dir, "manifest.json"), "w", newline="\n") as fh:
         json.dump(manifest, fh, indent=2)
         fh.write("\n")
-    return csv_path
 
 
 def cmd_sweep(args) -> int:
@@ -203,23 +207,14 @@ def cmd_csi(args) -> int:
     with open(json_path, "w", newline="\n") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
-    canonical = json.dumps(scenario.to_dict(), sort_keys=True).encode()
-    manifest = {
-        "scenario_digest": hashlib.sha256(canonical).hexdigest(),
-        "code_version": __version__,
-        "seed": scenario.seed,
-        "created_unix": int(time.time()),
-        "outputs": [csv_path, json_path],
-    }
-    with open(os.path.join(args.out, "manifest.json"), "w", newline="\n") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
+    _write_manifest(args.out, scenario, [csv_path, json_path])
     print(f"wrote {csv_path}")
     return 0
 
 
 def cmd_check(args) -> int:
-    results = checks.run_checks(quick=args.quick, seed=args.seed or 12345)
+    seed = 12345 if args.seed is None else args.seed
+    results = checks.run_checks(quick=args.quick, seed=seed)
     width = max(len(name) for name, _, _ in results)
     failures = 0
     for name, ok, detail in results:

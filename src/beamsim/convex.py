@@ -26,20 +26,26 @@ sphere SQP from the maximum-margin point: each iteration takes the exact
 Riemannian Newton model in an orthonormal tangent basis, minimizes it
 subject to the linearized margin rows as a least-distance problem solved by
 NNLS, which handles active and degenerate (tied) rows, and backtracks along
-the normalizing retraction.
+the normalizing retraction. One pass over the tuple rows at a point gives
+the objective, the gradient and the Hessian row weights; the SQP keeps
+those of the accepted point for its next model. The two MPE programs have
+the same optimum, so a caller that solves both at one noise level can
+start the second from the first's optimum (``solve(start=...)``); its SQP
+then stops at the first model check, and its KKT residual is still
+certified against its own rows.
 """
 
 import csv
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import solve_triangular
 from scipy.optimize import lsq_linear, nnls
 from scipy.special import erfc
 
-from .beamformers import lift_channel, unlift_weights
+from .beamformers import unlift_weights
 from .modem import enumerate_interferers
 
 MPE_FULL = "MPE_FULL"
@@ -87,7 +93,8 @@ class ConvexProgram:
             raise ValueError("sigma_z must be positive")
         N, K = self.H.shape
         k = self.user
-        lifted = np.stack([lift_channel(self.H[:, j]) for j in range(K)], axis=1)
+        # column j is lift_channel(H[:, j])
+        lifted = np.concatenate([self.H.real, -self.H.imag])
         self.a = self.constellations[k].step * lifted[:, k]
         others = [j for j in range(K) if j != k]
         self.U = np.stack(
@@ -156,14 +163,20 @@ def _sign_pattern_margins(a: np.ndarray, U: np.ndarray) -> np.ndarray:
     Their joint nonnegativity is exactly the absolute-value margin
     constraint; the minimum over rows equals the reduced margin.
     """
-    m = U.shape[0]
-    if m == 0:
+    if U.shape[0] == 0:
         return a[None, :]
+    return a[None, :] - _sign_patterns(U.shape[0]) @ U
+
+
+@functools.lru_cache(maxsize=32)
+def _sign_patterns(m: int) -> np.ndarray:
+    """All 2^m rows of {+-1}^m, read-only; one array per interferer count."""
     signs = np.array(
         [[1 - 2 * ((i >> j) & 1) for j in range(m)] for i in range(2**m)],
         dtype=float,
     )
-    return a[None, :] - signs @ U
+    signs.setflags(write=False)
+    return signs
 
 
 def objective_and_gradient(program: ConvexProgram, w_bar: np.ndarray):
@@ -180,18 +193,22 @@ def objective_and_gradient(program: ConvexProgram, w_bar: np.ndarray):
         value = (float(w_bar @ program.a) - float(np.sum(np.abs(proj)))) / program.noise_scale
         grad = (program.a - signs @ program.U) / program.noise_scale
         return value, grad
+    value, grad, _ = _mpe_evaluate(program, w_bar)
+    return value, grad
+
+
+def _mpe_evaluate(program: ConvexProgram, w_bar: np.ndarray):
+    """MPE objective f, gradient g and Hessian row weights from one G w pass.
+
+    The Hessian is G' diag(weights) G with weights = args phi(args) p / sbar^2,
+    where args = G w / sbar, p is the prefactor and sbar the noise scale.
+    """
     args = (program.G_objective @ w_bar) / program.noise_scale
     phi = np.exp(-0.5 * args**2) / _SQRT_2PI
     value = program.prefactor * float(np.sum(0.5 * erfc(args / math.sqrt(2.0))))
     grad = -(program.prefactor / program.noise_scale) * (phi @ program.G_objective)
-    return value, grad
-
-
-def _mpe_hessian(program: ConvexProgram, w_bar: np.ndarray) -> np.ndarray:
-    args = (program.G_objective @ w_bar) / program.noise_scale
-    phi = np.exp(-0.5 * args**2) / _SQRT_2PI
     weights = args * phi * (program.prefactor / program.noise_scale**2)
-    return (program.G_objective * weights[:, None]).T @ program.G_objective
+    return value, grad, weights
 
 
 def feasibility_phase(H: np.ndarray, k: int, constellations):
@@ -259,19 +276,21 @@ def _sphere_sqp(program: ConvexProgram, w0: np.ndarray):
     and g.w < 0, so B = LL' is positive definite and the step is the
     least-distance problem min ||y|| over E y >= E h - G w with y = L'd + h,
     h = L^-1 Z'g and E = G Z L^-T, solved by NNLS (Lawson & Hanson, 1974,
-    ch. 23). The rows are homogeneous, so every point of the retraction
-    (w + aZd)/||w + aZd|| with a in [0, 1] is feasible; an Armijo backtrack
-    picks a. The loop stops when the predicted or the realized decrease
-    reaches the rounding level of f, or after ``_SQP_MAX_ITER`` steps.
+    ch. 23). Z' hess(f) Z is formed as (G Z)' diag(weights) (G Z) from the
+    Hessian weights of the current point. The rows are homogeneous, so every
+    point of the retraction (w + aZd)/||w + aZd|| with a in [0, 1] is
+    feasible; an Armijo backtrack picks a. The loop stops when the predicted
+    or the realized decrease reaches the rounding level of f, or after
+    ``_SQP_MAX_ITER`` steps.
 
     Returns (w, f, g, trace) with one (iteration, objective, margin) trace
     row per accepted step. An objective or gradient that has underflowed to
     zero leaves the start point as it is.
     """
-    G = program.G_constraints
+    G_obj, G = program.G_objective, program.G_constraints
     n = w0.size
     w = w0 / np.linalg.norm(w0)
-    f, g = objective_and_gradient(program, w)
+    f, g, weights = _mpe_evaluate(program, w)
     e = np.zeros(n)
     e[-1] = 1.0
     trace = []
@@ -283,17 +302,21 @@ def _sphere_sqp(program: ConvexProgram, w0: np.ndarray):
         v = w.copy()
         v[0] += math.copysign(1.0, w[0])
         Z = np.eye(n)[:, 1:] - np.outer(v, v[1:]) * (2.0 / (v @ v))
+        GZ = G_obj @ Z
+        GcZ = GZ if G is G_obj else G @ Z
         # B and Z'g scaled by 1/|g.w|, which leaves the step unchanged
-        B = Z.T @ _mpe_hessian(program, w) @ Z / -gw + np.eye(n - 1)
-        L = np.linalg.cholesky(B)
-        h = solve_triangular(L, Z.T @ g / -gw, lower=True)
-        Et = solve_triangular(L, (G @ Z).T, lower=True)
+        B = (GZ.T * (weights / -gw)) @ GZ + np.eye(n - 1)
+        # B >= I, so ||L^-1|| <= 1 and products with L^-1 are as accurate as
+        # triangular solves; nnls refuses h and E' if they are not finite
+        L_inv = np.linalg.inv(np.linalg.cholesky(B))
+        h = L_inv @ (Z.T @ g / -gw)
+        Et = L_inv @ GcZ.T
         A = np.vstack([Et, h @ Et - G @ w])
         u, _ = nnls(A, e)
         r = A @ u - e
         if not r[-1] < 0.0:
             break
-        step = Z @ solve_triangular(L.T, -r[:-1] / r[-1] - h, lower=False)
+        step = Z @ (L_inv.T @ (-r[:-1] / r[-1] - h))
         slope = float(g @ step)
         if not -slope > _EPS * f:
             break
@@ -301,14 +324,14 @@ def _sphere_sqp(program: ConvexProgram, w0: np.ndarray):
         for _ in range(40):
             cand = w + alpha * step
             cand /= np.linalg.norm(cand)
-            f_cand, g_cand = objective_and_gradient(program, cand)
+            f_cand, g_cand, weights_cand = _mpe_evaluate(program, cand)
             if f_cand <= f + 1e-4 * alpha * slope:
                 break
             alpha *= 0.5
         else:
             break
         converged = f - f_cand <= 16.0 * _EPS * f
-        w, f, g = cand, f_cand, g_cand
+        w, f, g, weights = cand, f_cand, g_cand, weights_cand
         trace.append((iteration, f, program.reduced_margin(w)))
         if converged:
             break

@@ -176,13 +176,16 @@ def sum_rate(ser_per_user, constellations) -> float:
     return float(sum(c.bits_per_symbol * (1.0 - s) for c, s in zip(constellations, ser)))
 
 
-def _method_weights(method, H_csi, constellations, sigma_z, feasible):
+def _method_weights(method, H_csi, constellations, sigma_z, feasible, mpe_start):
     """Per-user weights of one method from the available CSI.
 
     Returns (weights list, infeasible flags); infeasible solver instances
     fall back to MMSE weights. ``feasible`` maps a user to the feasibility
     phase of its first solve on this H_csi and is filled on first use: the
-    phase depends on neither sigma_z nor the program kind.
+    phase depends on neither sigma_z nor the program kind. ``mpe_start``
+    maps a user to the lifted optimum of the MPE program solved first at
+    this sigma_z, which starts the other MPE kind: both have the same
+    objective and the same feasible set, hence the same optimum.
     """
     K = H_csi.shape[1]
     energies = [c.average_energy for c in constellations]
@@ -199,13 +202,17 @@ def _method_weights(method, H_csi, constellations, sigma_z, feasible):
             program = convex.ConvexProgram(
                 SOLVER_KINDS[method], H_csi, k, tuple(constellations), sigma_z
             )
-            report = convex.solve(program, feasible=feasible.get(k))
+            mpe = method in (MPE_FULL, MPE_REDUCED)
+            report = convex.solve(program, start=mpe_start.get(k) if mpe else None,
+                                  feasible=feasible.get(k))
             feasible[k] = report.feasibility
             if report.status == convex.INFEASIBLE:
                 w = beamformers.mmse(H_csi, k, sigma_z, energies)
                 flag = True
             else:
                 w = report.weights
+                if mpe:
+                    mpe_start.setdefault(k, beamformers.lift_weights(w))
         weights.append(w)
         infeasible.append(flag)
     return weights, infeasible
@@ -241,9 +248,10 @@ def _run_realization(scenario: Scenario, r_index: int, tuple_sets):
         sigma_z = snr_db_to_sigma(snr_db)
         if n_sym > 0:
             r_block = clean + sigma_z / np.sqrt(2.0) * (noise_re + 1j * noise_im)
+        mpe_start = {}
         for mi, method in enumerate(scenario.methods):
             weights, flags = _method_weights(method, H_csi, scenario.users, sigma_z,
-                                             feasible)
+                                             feasible, mpe_start)
             for k, w in enumerate(weights):
                 infeas[mi, si, k] = int(flags[k])
                 pe[mi, si, k] = analysis.exact_pe(

@@ -1,10 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
 import pytest
 
-from beamsim import cli, sim
+from beamsim import checks, cli, sim
 
 SCHEMA = json.loads(
     (Path(sim.__file__).parent / "schemas" / "sweep.schema.json").read_text()
@@ -141,6 +144,9 @@ class TestCommands:
         variances = {line.split(",")[0] for line in lines[1:]}
         assert variances == {"0", "0.001", "0.01"}
         jsonschema.validate(json.loads((out / "sweep.json").read_text()), SCHEMA)
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["seed"] == 1
+        assert manifest["outputs"] == [str(out / "sweep.csv"), str(out / "sweep.json")]
 
     def test_check_quick(self, capsys):
         rc = cli.main(["check", "--quick"])
@@ -148,6 +154,28 @@ class TestCommands:
         assert rc == 0
         assert "PASS" in out
         assert "FAIL" not in out
+
+    @pytest.mark.parametrize("flags, seed", [([], 12345), (["--seed", "0"], 0),
+                                             (["--seed", "7"], 7)])
+    def test_check_seed(self, monkeypatch, capsys, flags, seed):
+        seen = []
+
+        def fake_run_checks(quick, seed):
+            seen.append(seed)
+            return [("fake", True, "")]
+
+        monkeypatch.setattr(checks, "run_checks", fake_run_checks)
+        assert cli.main(["check", "--quick", *flags]) == 0
+        assert seen == [seed]
+
+    def test_python_dash_m_entry_point(self):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-m", "beamsim", "check", "--quick"],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "checks passed" in proc.stdout
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         rc = cli.main(["sweep", "--snr", "bogus", "--out", str(tmp_path / "x")])

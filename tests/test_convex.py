@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.optimize import linprog, minimize
+from scipy.special import erfc
 
 from beamsim import analysis, beamformers, channel, convex, modem, sim
 
@@ -83,6 +84,90 @@ class TestObjective:
             fy, _ = convex.objective_and_gradient(prog, y)
             fm, _ = convex.objective_and_gradient(prog, (x + y) / 2)
             assert fm <= (fx + fy) / 2 + 1e-12
+
+
+def reference_objective(program, w_bar):
+    """The MPE objective and gradient, written out without the shared evaluator."""
+    args = (program.G_objective @ w_bar) / program.noise_scale
+    phi = np.exp(-0.5 * args**2) / math.sqrt(2.0 * math.pi)
+    value = program.prefactor * float(np.sum(0.5 * erfc(args / math.sqrt(2.0))))
+    grad = -(program.prefactor / program.noise_scale) * (phi @ program.G_objective)
+    return value, grad
+
+
+def reference_hessian(program, w_bar):
+    """Hessian of the MPE objective at w_bar, without the shared evaluator."""
+    args = (program.G_objective @ w_bar) / program.noise_scale
+    phi = np.exp(-0.5 * args**2) / math.sqrt(2.0 * math.pi)
+    weights = args * phi * (program.prefactor / program.noise_scale**2)
+    return (program.G_objective * weights[:, None]).T @ program.G_objective
+
+
+class TestSharedEvaluation:
+    @pytest.mark.parametrize("kind", [convex.MPE_FULL, convex.MPE_REDUCED])
+    def test_objective_and_gradient_equal_shared_evaluator(self, kind):
+        prog, _, _ = make_program(60, kind, K=4, sigma=0.2)
+        rng = np.random.default_rng(61)
+        for _ in range(10):
+            w = rng.standard_normal(prog.dimension)
+            w /= np.linalg.norm(w)
+            value, grad = convex.objective_and_gradient(prog, w)
+            shared_value, shared_grad, weights = convex._mpe_evaluate(prog, w)
+            ref_value, ref_grad = reference_objective(prog, w)
+            assert value == shared_value == ref_value
+            assert np.array_equal(grad, shared_grad)
+            assert np.array_equal(grad, ref_grad)
+            G = prog.G_objective
+            assert np.array_equal((G * weights[:, None]).T @ G, reference_hessian(prog, w))
+
+    def test_hessian_matches_finite_difference_of_gradient(self):
+        prog, _, _ = make_program(62, convex.MPE_FULL, N=3, K=2, order=4, sigma=0.3)
+        rng = np.random.default_rng(63)
+        x = rng.standard_normal(6)
+        x /= np.linalg.norm(x)
+        hess = reference_hessian(prog, x)
+        eps = 1e-6
+        for i in range(6):
+            e = np.zeros(6)
+            e[i] = eps
+            fd = (convex.objective_and_gradient(prog, x + e)[1]
+                  - convex.objective_and_gradient(prog, x - e)[1]) / (2 * eps)
+            np.testing.assert_allclose(hess[:, i], fd, rtol=1e-5, atol=1e-9)
+
+    @pytest.mark.parametrize("kind", [convex.MPE_FULL, convex.MPE_REDUCED])
+    def test_newton_matrix_uses_hessian_at_the_iterate(self, kind, monkeypatch):
+        # every Cholesky factorization of the SQP is of the Newton matrix at
+        # the current iterate: the start, then each accepted candidate
+        evaluated, factored = [], []
+        evaluate, cholesky = convex._mpe_evaluate, np.linalg.cholesky
+
+        def recording_evaluate(program, w_bar):
+            result = evaluate(program, w_bar)
+            evaluated.append((w_bar.copy(), result[0], result[1]))
+            return result
+
+        def recording_cholesky(B):
+            factored.append(B.copy())
+            return cholesky(B)
+
+        monkeypatch.setattr(convex, "_mpe_evaluate", recording_evaluate)
+        monkeypatch.setattr(np.linalg, "cholesky", recording_cholesky)
+        cs = [modem.unit_energy_pam(8)] * 4
+        H = channel.sample_channel(4, 4, np.random.default_rng(64))
+        prog = convex.ConvexProgram(kind, H, 0, cs, sim.snr_db_to_sigma(10.0))
+        trace = convex._sphere_sqp(prog, convex._maximize_margin(prog).w_bar)[3]
+        iterates = [evaluated[0]] + [
+            next(ev for ev in evaluated if ev[1] == row[1]) for row in trace
+        ]
+        assert len(trace) >= 2
+        assert len(factored) in (len(iterates), len(iterates) - 1)
+        n = prog.dimension
+        for (w, _, g), B in zip(iterates, factored):
+            v = w.copy()
+            v[0] += math.copysign(1.0, w[0])
+            Z = np.eye(n)[:, 1:] - np.outer(v, v[1:]) * (2.0 / (v @ v))
+            expected = Z.T @ reference_hessian(prog, w) @ Z / -(g @ w) + np.eye(n - 1)
+            np.testing.assert_allclose(B, expected, rtol=1e-10, atol=1e-12)
 
 
 class TestSolve:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from beamsim import channel, convex, modem, sim
+from beamsim import beamformers, channel, convex, modem, sim
 
 
 def tiny_scenario(**kw):
@@ -176,7 +176,15 @@ class TestSolverMethods:
         # R = 3 realizations x K = 2 users, not once per SNR point and method
         assert sorted(calls) == [0, 0, 0, 1, 1, 1]
 
-    def test_one_antenna_four_8pam_users_all_infeasible(self):
+    def test_one_antenna_four_8pam_users_all_infeasible(self, monkeypatch):
+        starts = []
+        original = convex.solve
+
+        def recording(program, start=None, **kwargs):
+            starts.append(start)
+            return original(program, start=start, **kwargs)
+
+        monkeypatch.setattr(convex, "solve", recording)
         scenario = sim.Scenario(
             n_antennas=1, users=(modem.unit_energy_pam(8),) * 4,
             snr_grid_db=(10.0, 30.0), n_realizations=3, n_symbols=0,
@@ -184,6 +192,9 @@ class TestSolverMethods:
             seed=5,
         )
         result = sim.run_sweep(scenario)
+        # an INFEASIBLE solve has no optimum to pass to the other MPE kind
+        assert len(starts) == 3 * 2 * 3 * 4
+        assert all(start is None for start in starts)
         for row in result.rows:
             mmse = result.row(sim.MMSE, row.snr_db)
             if row.method == sim.MMSE:
@@ -192,6 +203,49 @@ class TestSolverMethods:
                 # every instance falls back to the MMSE weights
                 assert row.infeasible_frac == 1.0
                 assert row.pe_analytic == mmse.pe_analytic
+
+
+    @staticmethod
+    def fig1_style(methods):
+        return sim.Scenario(
+            n_antennas=4, users=(modem.unit_energy_pam(8),) * 4,
+            snr_grid_db=(0.0, 10.0, 20.0, 30.0), n_realizations=4, n_symbols=200,
+            methods=methods, seed=7,
+        )
+
+    def test_mpe_order_does_not_change_rows(self):
+        default = sim.run_sweep(self.fig1_style((sim.MPE_FULL, sim.MPE_REDUCED)))
+        swapped = sim.run_sweep(self.fig1_style((sim.MPE_REDUCED, sim.MPE_FULL)))
+        for row in swapped.rows:
+            ref = default.row(row.method, row.snr_db)
+            assert row.pe_analytic == pytest.approx(ref.pe_analytic, rel=1e-12)
+            assert row.infeasible_frac == ref.infeasible_frac
+
+    @pytest.mark.parametrize("methods", [(sim.MPE_FULL, sim.MPE_REDUCED),
+                                         (sim.MPE_REDUCED, sim.SMINR_AMP, sim.MPE_FULL)])
+    def test_second_mpe_kind_starts_at_the_first_optimum(self, monkeypatch, methods):
+        solves = []
+        original = convex.solve
+
+        def recording(program, start=None, **kwargs):
+            report = original(program, start=start, **kwargs)
+            solves.append((program.kind, start, report))
+            return report
+
+        monkeypatch.setattr(convex, "solve", recording)
+        scenario = self.fig1_style(methods)
+        sim.run_sweep(scenario)
+        first, second = (sim.SOLVER_KINDS[m] for m in methods if m != sim.SMINR_AMP)
+        assert all(start is None for kind, start, _ in solves if kind != second)
+        firsts = [report for kind, _, report in solves if kind == first]
+        starts = [start for kind, start, _ in solves if kind == second]
+        assert len(starts) == len(firsts) == 4 * 4 * 4
+        for report, start in zip(firsts, starts):
+            assert np.array_equal(start, beamformers.lift_weights(report.weights))
+        for kind, start, report in solves:
+            if kind == second:
+                assert report.status == convex.OPTIMAL
+                assert report.iterations <= 1
 
 
 class TestOutputFormats:
