@@ -24,6 +24,8 @@ PRESETS = {
     # imperfect-CSI comparison, closed-form methods only
     "fig5": dict(methods=(sim.ZF, sim.MMSE, sim.SMINR), snr="0:5:45"),
 }
+# the largest preset grid, 0:5:50, has 11 points
+MAX_SNR_POINTS = 1000
 
 
 class ConfigError(Exception):
@@ -40,7 +42,13 @@ def _parse_snr(text: str):
             start, step, stop = (float(p) for p in parts)
             if step <= 0 or stop < start:
                 raise ValueError
-            n = int(round((stop - start) / step)) + 1
+            span = (stop - start) / step
+            if not span <= MAX_SNR_POINTS - 1:  # also refuses inf and nan
+                raise ConfigError(
+                    f"SNR range {text!r} is not a finite grid of at most "
+                    f"{MAX_SNR_POINTS} points"
+                )
+            n = int(round(span)) + 1
             return tuple(start + i * step for i in range(n))
         return tuple(float(p) for p in text.split(","))
     except ValueError:
@@ -127,22 +135,29 @@ def _n_workers(args) -> int:
     return os.cpu_count() or 1
 
 
-def _write_outputs(out_dir, scenario, result, extra=None):
+def _write_outputs(out_dir, scenario, results, csi_vars=None):
+    """Write sweep.csv, sweep.json and the manifest for the rows of ``results``.
+
+    ``csi_vars`` gives one CSI error variance per result; it becomes the
+    leading CSV column and the trailing key of each JSON row.
+    """
     os.makedirs(out_dir, exist_ok=True)
+    header = ",".join(sim.CSV_COLUMNS)
+    lines = [header if csi_vars is None else "csi_var," + header]
+    rows = []
+    for i, result in enumerate(results):
+        for line, row in zip(result.to_csv().splitlines()[1:], result.rows_as_dicts()):
+            if csi_vars is not None:
+                line = f"{csi_vars[i]:.17g},{line}"
+                row["csi_var"] = csi_vars[i]
+            lines.append(line)
+            rows.append(row)
     csv_path = os.path.join(out_dir, "sweep.csv")
     json_path = os.path.join(out_dir, "sweep.json")
-    csv_text = result.to_csv()
-    if extra:
-        csv_text += "".join(
-            line + "\n" for line in extra.to_csv().splitlines()[1:]
-        )
     with open(csv_path, "w", newline="\n") as fh:
-        fh.write(csv_text)
-    payload = {"scenario": scenario.to_dict(), "rows": result.rows_as_dicts()}
-    if extra:
-        payload["rows"].extend(extra.rows_as_dicts())
+        fh.write("\n".join(lines) + "\n")
     with open(json_path, "w", newline="\n") as fh:
-        json.dump(payload, fh, indent=2)
+        json.dump({"scenario": scenario.to_dict(), "rows": rows}, fh, indent=2)
         fh.write("\n")
     _write_manifest(out_dir, scenario, [csv_path, json_path])
     return csv_path
@@ -166,21 +181,22 @@ def _write_manifest(out_dir, scenario, outputs):
 def cmd_sweep(args) -> int:
     scenario = build_scenario(args)
     result = sim.run_sweep(scenario, n_workers=_n_workers(args))
-    path = _write_outputs(args.out, scenario, result)
-    print(f"wrote {path}")
+    print(f"wrote {_write_outputs(args.out, scenario, [result])}")
     return 0
 
 
 def cmd_rate(args) -> int:
     scenario = build_scenario(args)
-    result = sim.run_sweep(scenario, n_workers=_n_workers(args))
+    if scenario.n_symbols < 1:
+        raise ConfigError("rate needs --symbols >= 1: the 64-QAM reference counts "
+                          "symbol errors")
+    n_workers = _n_workers(args)
+    result = sim.run_sweep(scenario, n_workers=n_workers)
     qam_scenario = dataclasses.replace(
         scenario, users=(unit_energy_pam(8),) * 2, methods=(sim.ZF, sim.MMSE)
     )
-    qam = sim.qam_reference_sweep(qam_scenario, qam_order=64,
-                                  n_workers=_n_workers(args))
-    path = _write_outputs(args.out, scenario, result, extra=qam)
-    print(f"wrote {path}")
+    qam = sim.qam_reference_sweep(qam_scenario, qam_order=64, n_workers=n_workers)
+    print(f"wrote {_write_outputs(args.out, scenario, [result, qam])}")
     return 0
 
 
@@ -188,27 +204,14 @@ def cmd_csi(args) -> int:
     scenario = build_scenario(args)
     if not set(scenario.methods) <= {sim.ZF, sim.MMSE, sim.SMINR}:
         scenario = dataclasses.replace(scenario, methods=(sim.ZF, sim.MMSE, sim.SMINR))
-    os.makedirs(args.out, exist_ok=True)
-    lines = ["csi_var," + ",".join(sim.CSV_COLUMNS)]
-    all_rows = []
-    for var in (0.0, 0.001, 0.01):
-        s = dataclasses.replace(scenario, csi_error_var=var)
-        result = sim.imperfect_csi_sweep(s, n_workers=_n_workers(args))
-        for line in result.to_csv().splitlines()[1:]:
-            lines.append(f"{var:.17g},{line}")
-        for row in result.rows_as_dicts():
-            row["csi_var"] = var
-            all_rows.append(row)
-    csv_path = os.path.join(args.out, "sweep.csv")
-    with open(csv_path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-    json_path = os.path.join(args.out, "sweep.json")
-    payload = {"scenario": scenario.to_dict(), "rows": all_rows}
-    with open(json_path, "w", newline="\n") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
-    _write_manifest(args.out, scenario, [csv_path, json_path])
-    print(f"wrote {csv_path}")
+    n_workers = _n_workers(args)
+    variances = (0.0, 0.001, 0.01)
+    results = [
+        sim.imperfect_csi_sweep(dataclasses.replace(scenario, csi_error_var=var),
+                                n_workers=n_workers)
+        for var in variances
+    ]
+    print(f"wrote {_write_outputs(args.out, scenario, results, csi_vars=variances)}")
     return 0
 
 

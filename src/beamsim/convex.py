@@ -283,7 +283,7 @@ def _sphere_sqp(program: ConvexProgram, w0: np.ndarray):
     or the realized decrease reaches the rounding level of f, or after
     ``_SQP_MAX_ITER`` steps.
 
-    Returns (w, f, g, trace) with one (iteration, objective, margin) trace
+    Returns (w, f, g, trace) with one (iteration, objective, point) trace
     row per accepted step. An objective or gradient that has underflowed to
     zero leaves the start point as it is.
     """
@@ -332,7 +332,7 @@ def _sphere_sqp(program: ConvexProgram, w0: np.ndarray):
             break
         converged = f - f_cand <= 16.0 * _EPS * f
         w, f, g, weights = cand, f_cand, g_cand, weights_cand
-        trace.append((iteration, f, program.reduced_margin(w)))
+        trace.append((iteration, f, w))
         if converged:
             break
     return w, f, g, trace
@@ -372,7 +372,7 @@ def solve(program: ConvexProgram, start: np.ndarray = None, trace_path: str = No
                            feas.iterations, float("nan"), feas)
 
     if program.kind == SMINR_AMP:
-        _write_trace(trace_path, [])
+        _write_trace(trace_path, program, [])
         value, _ = objective_and_gradient(program, feas.w_bar)
         status = OPTIMAL if feas.gap <= TOL_KKT else MAX_ITER
         return SolveReport(unlift_weights(feas.w_bar), value,
@@ -382,7 +382,7 @@ def solve(program: ConvexProgram, start: np.ndarray = None, trace_path: str = No
     w_bar, value, grad, trace = _sphere_sqp(
         program, np.asarray(start if start is not None else feas.w_bar, dtype=float)
     )
-    _write_trace(trace_path, trace)
+    _write_trace(trace_path, program, trace)
     kkt = _kkt_residual(program, w_bar, grad)
     return SolveReport(
         weights=unlift_weights(w_bar),
@@ -395,10 +395,11 @@ def solve(program: ConvexProgram, start: np.ndarray = None, trace_path: str = No
     )
 
 
-def _write_trace(path, rows):
+def _write_trace(path, program, steps):
+    """Write one (iteration, objective, reduced margin) CSV row per SQP step."""
     if path is None:
         return
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["iteration", "objective", "margin"])
-        writer.writerows(rows)
+        writer.writerows((i, f, program.reduced_margin(w)) for i, f, w in steps)

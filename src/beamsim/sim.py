@@ -170,10 +170,15 @@ def snr_db_to_sigma(snr_db: float) -> float:
 
 def sum_rate(ser_per_user, constellations) -> float:
     """Goodput proxy sum_k log2(L_k) (1 - SER_k) in bits per channel use."""
+    return _goodput(ser_per_user, [c.bits_per_symbol for c in constellations])
+
+
+def _goodput(ser_per_user, bits) -> float:
+    """sum_k bits_k (1 - SER_k) for per-user SERs in [0, 1]."""
     ser = np.asarray(ser_per_user, dtype=float)
     if np.any((ser < 0) | (ser > 1)):
         raise ValueError("SER values must lie in [0, 1]")
-    return float(sum(c.bits_per_symbol * (1.0 - s) for c, s in zip(constellations, ser)))
+    return float(sum(b * (1.0 - s) for b, s in zip(bits, ser)))
 
 
 def _method_weights(method, H_csi, constellations, sigma_z, feasible, mpe_start):
@@ -218,36 +223,99 @@ def _method_weights(method, H_csi, constellations, sigma_z, feasible, mpe_start)
     return weights, infeasible
 
 
-def _run_realization(scenario: Scenario, r_index: int, tuple_sets):
-    """All per-realization statistics, deterministic in (seed, r_index)."""
-    K = len(scenario.users)
-    n_methods = len(scenario.methods)
-    n_snr = len(scenario.snr_grid_db)
+def _draw_realization(scenario: Scenario, r_index: int):
+    """Channel H, its estimate H_csi and the symbol and noise generators of one
+    realization, deterministic in (seed, r_index)."""
     ss = np.random.SeedSequence(entropy=scenario.seed, spawn_key=(r_index,))
     rng_channel, rng_csi, rng_sym, rng_noise = [
         np.random.default_rng(s) for s in ss.spawn(4)
     ]
-
-    H = channel.sample_channel(scenario.n_antennas, K, rng_channel)
+    H = channel.sample_channel(scenario.n_antennas, len(scenario.users), rng_channel)
     H_csi = channel.perturb_csi(H, scenario.csi_error_var, rng_csi)
+    return H, H_csi, rng_sym, rng_noise
 
-    errors = np.zeros((n_methods, n_snr, K), dtype=np.int64)
-    pe = np.zeros((n_methods, n_snr, K))
-    bound = np.zeros((n_methods, n_snr, K))
-    infeas = np.zeros((n_methods, n_snr, K), dtype=np.int64)
+
+def _map_realizations(fn, scenario: Scenario, n_workers: int, *args):
+    """Run ``fn(scenario, r, *args)`` for every realization r on ``n_workers``
+    processes and stack its (errors, pe, bound, infeas) arrays in realization
+    order, so the result is bit-identical for any worker count."""
+    n_real = scenario.n_realizations
+    if n_workers and n_workers > 1:
+        with ProcessPoolExecutor(max_workers=n_workers) as pool:
+            return _stack(n_real, pool.map(
+                fn, [scenario] * n_real, range(n_real),
+                *([arg] * n_real for arg in args),
+                chunksize=max(1, n_real // (8 * n_workers)),
+            ))
+    return _stack(n_real, (fn(scenario, r, *args) for r in range(n_real)))
+
+
+def _stack(n_real: int, results) -> list:
+    """Copy each realization's arrays into arrays with a leading realization
+    axis as they arrive, so that only the stacked arrays stay in memory."""
+    stacked = None
+    for r, arrays in enumerate(results):
+        if stacked is None:
+            stacked = [np.empty((n_real, *a.shape), a.dtype) for a in arrays]
+        for out, a in zip(stacked, arrays):
+            out[r] = a
+    return stacked
+
+
+def _sweep_rows(scenario: Scenario, labels, bits, errors, pe, bound, infeas) -> list:
+    """One SweepRow per (label, SNR point) from the stacked realization arrays.
+
+    ``bits`` holds each user's bits per symbol for the sum rate, which counts
+    symbol errors or, without Monte-Carlo symbols, the clipped analytic Pe.
+    """
+    n_real, n_sym = scenario.n_realizations, scenario.n_symbols
+    n_total = n_real * n_sym * len(bits)
+    rows = []
+    for mi, label in enumerate(labels):
+        for si, snr_db in enumerate(scenario.snr_grid_db):
+            if n_sym > 0:
+                err_user = errors[:, mi, si, :].sum(axis=0)
+                ser = float(err_user.sum()) / n_total
+                stderr = math.sqrt(max(ser * (1 - ser), 1.0 / n_total) / n_total)
+                ser_user = err_user / (n_real * n_sym)
+            else:
+                ser, stderr = float("nan"), float("nan")
+                ser_user = np.clip(pe[:, mi, si, :].mean(axis=0), 0.0, 1.0)
+            rows.append(
+                SweepRow(
+                    method=label,
+                    snr_db=snr_db,
+                    ser=ser,
+                    ser_ci=stderr,
+                    pe_analytic=float(pe[:, mi, si, :].mean()),
+                    pe_bound=float(bound[:, mi, si, :].mean()),
+                    sum_rate=_goodput(ser_user, bits),
+                    infeasible_frac=float(infeas[:, mi, si, :].mean()),
+                )
+            )
+    return rows
+
+
+def _run_realization(scenario: Scenario, r_index: int, tuple_sets):
+    """All per-realization statistics, deterministic in (seed, r_index)."""
+    H, H_csi, rng_sym, rng_noise = _draw_realization(scenario, r_index)
+    shape = (len(scenario.methods), len(scenario.snr_grid_db), len(scenario.users))
+    errors = np.zeros(shape, dtype=np.int64)
+    pe = np.zeros(shape)
+    bound = np.zeros(shape)
+    infeas = np.zeros(shape, dtype=np.int64)
 
     n_sym = scenario.n_symbols
     if n_sym > 0:
         indices, values = modem.draw_symbols(scenario.users, rng_sym, size=n_sym)
         clean = H @ values
-        noise_re = rng_noise.standard_normal(clean.shape)
-        noise_im = rng_noise.standard_normal(clean.shape)
+        noise = rng_noise.standard_normal(clean.shape) + 1j * rng_noise.standard_normal(clean.shape)
 
     feasible = {}
     for si, snr_db in enumerate(scenario.snr_grid_db):
         sigma_z = snr_db_to_sigma(snr_db)
         if n_sym > 0:
-            r_block = clean + sigma_z / np.sqrt(2.0) * (noise_re + 1j * noise_im)
+            r_block = clean + sigma_z / np.sqrt(2.0) * noise
         mpe_start = {}
         for mi, method in enumerate(scenario.methods):
             weights, flags = _method_weights(method, H_csi, scenario.users, sigma_z,
@@ -268,7 +336,7 @@ def _run_realization(scenario: Scenario, r_index: int, tuple_sets):
                         (w @ r_block).real, gain, scenario.users[k]
                     )
                     errors[mi, si, k] = int(np.count_nonzero(decisions != indices[k]))
-    return r_index, errors, pe, bound, infeas
+    return errors, pe, bound, infeas
 
 
 def run_sweep(scenario: Scenario, n_workers: int = 1) -> SweepResult:
@@ -277,61 +345,11 @@ def run_sweep(scenario: Scenario, n_workers: int = 1) -> SweepResult:
     Realizations are independent work units; results are reduced in fixed
     realization order so the output is bit-identical for any worker count.
     """
-    K = len(scenario.users)
-    n_methods = len(scenario.methods)
-    n_snr = len(scenario.snr_grid_db)
-    n_real = scenario.n_realizations
-    tuple_sets = [modem.enumerate_interferers(scenario.users, k) for k in range(K)]
-
-    errors = np.zeros((n_real, n_methods, n_snr, K), dtype=np.int64)
-    pe = np.zeros((n_real, n_methods, n_snr, K))
-    bound = np.zeros((n_real, n_methods, n_snr, K))
-    infeas = np.zeros((n_real, n_methods, n_snr, K), dtype=np.int64)
-
-    if n_workers and n_workers > 1:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            results = pool.map(
-                _run_realization,
-                [scenario] * n_real,
-                range(n_real),
-                [tuple_sets] * n_real,
-                chunksize=max(1, n_real // (8 * n_workers)),
-            )
-            for r, e, p, b, i in results:
-                errors[r], pe[r], bound[r], infeas[r] = e, p, b, i
-    else:
-        for r in range(n_real):
-            _, errors[r], pe[r], bound[r], infeas[r] = _run_realization(
-                scenario, r, tuple_sets
-            )
-
-    rows = []
-    n_total = n_real * scenario.n_symbols * K
-    for mi, method in enumerate(scenario.methods):
-        for si, snr_db in enumerate(scenario.snr_grid_db):
-            if scenario.n_symbols > 0:
-                err_user = errors[:, mi, si, :].sum(axis=0)
-                ser = float(err_user.sum()) / n_total
-                stderr = math.sqrt(max(ser * (1 - ser), 1.0 / n_total) / n_total)
-                ser_user = err_user / (n_real * scenario.n_symbols)
-                rate = sum_rate(ser_user, scenario.users)
-            else:
-                ser, stderr = float("nan"), float("nan")
-                pe_user = pe[:, mi, si, :].mean(axis=0)
-                rate = sum_rate(np.clip(pe_user, 0.0, 1.0), scenario.users)
-            rows.append(
-                SweepRow(
-                    method=method,
-                    snr_db=snr_db,
-                    ser=ser,
-                    ser_ci=stderr,
-                    pe_analytic=float(pe[:, mi, si, :].mean()),
-                    pe_bound=float(bound[:, mi, si, :].mean()),
-                    sum_rate=rate,
-                    infeasible_frac=float(infeas[:, mi, si, :].mean()),
-                )
-            )
-    return SweepResult(scenario=scenario, rows=rows)
+    tuple_sets = [modem.enumerate_interferers(scenario.users, k)
+                  for k in range(len(scenario.users))]
+    arrays = _map_realizations(_run_realization, scenario, n_workers, tuple_sets)
+    bits = [c.bits_per_symbol for c in scenario.users]
+    return SweepResult(scenario, _sweep_rows(scenario, scenario.methods, bits, *arrays))
 
 
 def imperfect_csi_sweep(scenario: Scenario, n_workers: int = 1) -> SweepResult:
@@ -344,6 +362,33 @@ def imperfect_csi_sweep(scenario: Scenario, n_workers: int = 1) -> SweepResult:
     if not set(scenario.methods) <= allowed:
         raise ValueError(f"imperfect-CSI sweep supports methods {sorted(allowed)}")
     return run_sweep(scenario, n_workers=n_workers)
+
+
+def _run_qam_realization(scenario: Scenario, r_index: int, methods, axis):
+    """QAM symbol errors of one realization; each QAM coordinate is an ``axis``
+    PAM symbol. pe and bound are NaN, no instance is infeasible."""
+    K = len(scenario.users)
+    H, H_csi, rng_sym, rng_noise = _draw_realization(scenario, r_index)
+    idx_re, val_re = modem.draw_symbols([axis] * K, rng_sym, size=scenario.n_symbols)
+    idx_im, val_im = modem.draw_symbols([axis] * K, rng_sym, size=scenario.n_symbols)
+    clean = H @ (val_re + 1j * val_im)
+    noise = rng_noise.standard_normal(clean.shape) + 1j * rng_noise.standard_normal(clean.shape)
+    errors = np.zeros((len(methods), len(scenario.snr_grid_db), K), dtype=np.int64)
+    for si, snr_db in enumerate(scenario.snr_grid_db):
+        sigma_z = snr_db_to_sigma(snr_db)
+        r_block = clean + sigma_z / np.sqrt(2.0) * noise
+        for mi, method in enumerate(methods):
+            for k in range(K):
+                if method == ZF:
+                    w = beamformers.zf(H_csi, k)
+                else:
+                    w = beamformers.mmse(H_csi, k, sigma_z, [1.0] * K)
+                y = (w @ r_block) / (w @ H_csi[:, k])
+                wrong = ((modem.decide_block(y.real, 1.0, axis) != idx_re[k])
+                         | (modem.decide_block(y.imag, 1.0, axis) != idx_im[k]))
+                errors[mi, si, k] = np.count_nonzero(wrong)
+    nan = np.full(errors.shape, np.nan)
+    return errors, nan, nan, np.zeros_like(errors)
 
 
 def qam_reference_sweep(scenario: Scenario, qam_order: int = 64,
@@ -361,58 +406,15 @@ def qam_reference_sweep(scenario: Scenario, qam_order: int = 64,
     K = len(scenario.users)
     if K != 2:
         raise ValueError("the QAM reference is defined for K = 2 users")
+    if scenario.n_symbols < 1:
+        raise ValueError("the QAM reference counts symbol errors and needs n_symbols >= 1")
     # per-axis PAM scaled for unit average QAM symbol energy
     axis = modem.Constellation(
         order=side, half_spacing=math.sqrt(3.0 / (2.0 * (side**2 - 1))),
         pulse_energy=1.0,
     )
     methods = [m for m in scenario.methods if m in (ZF, MMSE)]
-    bits = math.log2(qam_order)
-
-    n_real, n_sym = scenario.n_realizations, scenario.n_symbols
-    n_snr = len(scenario.snr_grid_db)
-    errors = np.zeros((n_real, len(methods), n_snr, K), dtype=np.int64)
-    for r in range(n_real):
-        ss = np.random.SeedSequence(entropy=scenario.seed, spawn_key=(r,))
-        rng_channel, rng_csi, rng_sym, rng_noise = [
-            np.random.default_rng(s) for s in ss.spawn(4)
-        ]
-        H = channel.sample_channel(scenario.n_antennas, K, rng_channel)
-        H_csi = channel.perturb_csi(H, scenario.csi_error_var, rng_csi)
-        idx_re, val_re = modem.draw_symbols([axis] * K, rng_sym, size=n_sym)
-        idx_im, val_im = modem.draw_symbols([axis] * K, rng_sym, size=n_sym)
-        symbols = val_re + 1j * val_im
-        clean = H @ symbols
-        noise = rng_noise.standard_normal(clean.shape) + 1j * rng_noise.standard_normal(clean.shape)
-        for si, snr_db in enumerate(scenario.snr_grid_db):
-            sigma_z = snr_db_to_sigma(snr_db)
-            r_block = clean + sigma_z / np.sqrt(2.0) * noise
-            for mi, method in enumerate(methods):
-                for k in range(K):
-                    if method == ZF:
-                        w = beamformers.zf(H_csi, k)
-                    else:
-                        w = beamformers.mmse(H_csi, k, sigma_z, [1.0] * K)
-                    y = (w @ r_block) / (w @ H_csi[:, k])
-                    dec_re = modem.decide_block(y.real, math.sqrt(axis.pulse_energy), axis)
-                    dec_im = modem.decide_block(y.imag, math.sqrt(axis.pulse_energy), axis)
-                    wrong = (dec_re != idx_re[k]) | (dec_im != idx_im[k])
-                    errors[r, mi, si, k] = int(np.count_nonzero(wrong))
-
-    rows = []
-    n_total = n_real * n_sym * K
-    for mi, method in enumerate(methods):
-        for si, snr_db in enumerate(scenario.snr_grid_db):
-            err_user = errors[:, mi, si, :].sum(axis=0)
-            ser = float(err_user.sum()) / n_total
-            stderr = math.sqrt(max(ser * (1 - ser), 1.0 / n_total) / n_total)
-            ser_user = err_user / (n_real * n_sym)
-            rate = float(sum(bits * (1.0 - s) for s in ser_user))
-            rows.append(
-                SweepRow(
-                    method=f"{method}-QAM", snr_db=snr_db, ser=ser, ser_ci=stderr,
-                    pe_analytic=float("nan"), pe_bound=float("nan"),
-                    sum_rate=rate, infeasible_frac=0.0,
-                )
-            )
-    return SweepResult(scenario=scenario, rows=rows)
+    arrays = _map_realizations(_run_qam_realization, scenario, n_workers, methods, axis)
+    labels = [f"{m}-QAM" for m in methods]
+    return SweepResult(scenario, _sweep_rows(scenario, labels, [math.log2(qam_order)] * K,
+                                             *arrays))

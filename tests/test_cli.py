@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -140,10 +141,23 @@ class TestCommands:
         )
         assert rc == 0
         lines = (out / "sweep.csv").read_text().splitlines()
-        assert lines[0].startswith("csi_var,")
+        assert lines[0] == "csi_var," + ",".join(sim.CSV_COLUMNS)
         variances = {line.split(",")[0] for line in lines[1:]}
         assert variances == {"0", "0.001", "0.01"}
-        jsonschema.validate(json.loads((out / "sweep.json").read_text()), SCHEMA)
+        ns = cli.make_parser().parse_args(
+            ["csi", *FAST_ARGS, "--methods", "ZF,MMSE", "--symbols", "0", "--out", str(out)]
+        )
+        scenario = cli.build_scenario(ns)
+        expected = []
+        for var in (0.0, 0.001, 0.01):
+            body = sim.imperfect_csi_sweep(
+                dataclasses.replace(scenario, csi_error_var=var)
+            ).to_csv().splitlines()[1:]
+            expected += [f"{var:.17g},{line}" for line in body]
+        assert lines[1:] == expected
+        doc = json.loads((out / "sweep.json").read_text())
+        jsonschema.validate(doc, SCHEMA)
+        assert all(list(row)[-1] == "csi_var" for row in doc["rows"])
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["seed"] == 1
         assert manifest["outputs"] == [str(out / "sweep.csv"), str(out / "sweep.json")]
@@ -203,6 +217,8 @@ class TestRefusals:
         (["--antennas", "0"], {}),
         (["--snr", "nan"], {}),
         (["--snr", "0,inf"], {}),
+        (["--snr", "0:1e-12:1"], {}),
+        (["--snr", "0:1:inf"], {}),
         (["--seed", "-1"], {}),
         (["--users", "9x8pam"], {}),
         ([], {"BEAMSIM_THREADS": "abc"}),
@@ -212,6 +228,20 @@ class TestRefusals:
             monkeypatch.setenv(name, value)
         out = tmp_path / "run"
         rc = cli.main(["sweep", *FAST_ARGS, *flags, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+        assert not (out / "sweep.json").exists()
+
+    def test_rate_without_symbols_exits_2_before_sweeping(self, tmp_path, capsys,
+                                                         monkeypatch):
+        def fail_run_sweep(*args, **kwargs):
+            raise AssertionError("run_sweep called")
+
+        monkeypatch.setattr(sim, "run_sweep", fail_run_sweep)
+        out = tmp_path / "rate"
+        rc = cli.main(["rate", *FAST_ARGS, "--symbols", "0", "--out", str(out)])
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith("error: ")

@@ -98,6 +98,13 @@ class TestRunSweep:
         parallel = sim.run_sweep(s, n_workers=2)
         assert serial.rows == parallel.rows
 
+    def test_worker_count_does_not_change_qam_reference(self):
+        # QAM rows hold NaN, which never compares equal, so compare the CSV text
+        s = tiny_scenario(methods=(sim.ZF, sim.MMSE))
+        serial = sim.qam_reference_sweep(s, qam_order=16, n_workers=1)
+        parallel = sim.qam_reference_sweep(s, qam_order=16, n_workers=2)
+        assert serial.to_csv() == parallel.to_csv()
+
     def test_row_grid(self):
         s = tiny_scenario()
         res = sim.run_sweep(s)
@@ -301,6 +308,10 @@ class TestQamReference:
     def test_rejects_non_square_order(self):
         with pytest.raises(ValueError):
             sim.qam_reference_sweep(tiny_scenario(), qam_order=32)
+
+    def test_requires_symbols(self):
+        with pytest.raises(ValueError, match="n_symbols"):
+            sim.qam_reference_sweep(tiny_scenario(n_symbols=0))
 
     def test_methods_and_rate_ceiling(self):
         s = sim.Scenario(
