@@ -18,18 +18,36 @@ def q_function(x):
     return 0.5 * erfc(np.asarray(x, dtype=float) / np.sqrt(2.0))
 
 
-def effective_gains(w: np.ndarray, H: np.ndarray, k: int):
-    """(self_gain, cross_gains): complex w h_k and the (K-1)-vector of w h_j."""
-    gains = np.asarray(w) @ H
-    others = [j for j in range(H.shape[1]) if j != k]
-    return gains[k], gains[others]
-
-
 def _check_weights(w: np.ndarray) -> float:
     norm = float(np.linalg.norm(w))
     if norm == 0.0 or not np.isfinite(norm):
         raise ValueError("weight vector must be nonzero and finite")
     return norm
+
+
+def _gains(w, H, k, constellations, tuple_set: InterfererTupleSet = None):
+    """The margin terms of weight w for user k, from one product w H.
+
+    Returns ||w||, the self term Re{w h_k} d sqrt(E_g), the interferer gains
+    Re{w h_j} in the column order of the tuple set, and that tuple set,
+    fetched here unless given. Refuses a zero or non-finite w.
+    """
+    norm = _check_weights(w)
+    if tuple_set is None:
+        tuple_set = enumerate_interferers(constellations, k)
+    gains = np.asarray(w) @ H
+    self_term = gains[k].real * constellations[k].step
+    return norm, self_term, gains[list(tuple_set.users)].real, tuple_set
+
+
+def _peak_gains(cross, tuple_set, constellations) -> np.ndarray:
+    """u_j = Re{w h_j} s_j(L_j): each interferer's gain at its peak symbol."""
+    return cross * np.array([constellations[j].max_symbol for j in tuple_set.users])
+
+
+def _reduced_margin(self_term, cross, tuple_set, constellations) -> float:
+    """Self term minus the worst-case interference sum_j |u_j|."""
+    return self_term - float(np.sum(np.abs(_peak_gains(cross, tuple_set, constellations))))
 
 
 def pe_arguments(
@@ -44,16 +62,10 @@ def pe_arguments(
 
     arg(b) = Re{w h_k d sqrt(E_g) - w H_kbar sbar(b)} / ((sigma_z/sqrt(2)) ||w||).
     """
-    norm = _check_weights(w)
+    norm, self_term, cross, tuple_set = _gains(w, H, k, constellations, tuple_set)
     if sigma_z <= 0:
         raise ValueError("sigma_z must be positive")
-    if tuple_set is None:
-        tuple_set = enumerate_interferers(constellations, k)
-    gains = np.asarray(w) @ H
-    self_term = gains[k].real * constellations[k].step
-    cross_re = gains[list(tuple_set.users)].real
-    numerators = self_term - tuple_set.tuples @ cross_re
-    return numerators / (sigma_z / np.sqrt(2.0) * norm)
+    return (self_term - tuple_set.tuples @ cross) / (sigma_z / np.sqrt(2.0) * norm)
 
 
 def exact_pe(
@@ -122,16 +134,9 @@ def feasibility_margins(
     reduced = Re{w h_k d sqrt(E_g)} - sum_j |Re{w h_j s_j(L_j)}|
     The reduced margin equals min(full) exactly.
     """
-    _check_weights(w)
-    if tuple_set is None:
-        tuple_set = enumerate_interferers(constellations, k)
-    gains = np.asarray(w) @ H
-    self_term = gains[k].real * constellations[k].step
-    cross_re = gains[list(tuple_set.users)].real
-    full = self_term - tuple_set.tuples @ cross_re
-    peaks = np.array([constellations[j].max_symbol for j in tuple_set.users])
-    reduced = self_term - float(np.sum(np.abs(cross_re * peaks)))
-    return full, reduced
+    _, self_term, cross, tuple_set = _gains(w, H, k, constellations, tuple_set)
+    full = self_term - tuple_set.tuples @ cross
+    return full, _reduced_margin(self_term, cross, tuple_set, constellations)
 
 
 def pe_upper_bound(
@@ -143,12 +148,12 @@ def pe_upper_bound(
     argument is normalized by ||w|| so the bound is scale-invariant; on
     unit-norm weights this is the plain worst-case-interference bound.
     """
-    norm = _check_weights(w)
+    norm, self_term, cross, tuple_set = _gains(w, H, k, constellations)
     if sigma_z <= 0:
         raise ValueError("sigma_z must be positive")
-    _, reduced = feasibility_margins(w, H, k, constellations)
     L = constellations[k].order
-    arg = reduced / (sigma_z / np.sqrt(2.0) * norm)
+    arg = _reduced_margin(self_term, cross, tuple_set, constellations) / (
+        sigma_z / np.sqrt(2.0) * norm)
     return 2.0 * (L - 1) / L * float(q_function(arg))
 
 
@@ -160,24 +165,17 @@ def sminr_amp(
     Reduced margin divided by sigma_z / sqrt(2). Not normalized by ||w||: the
     metric is defined for (and maximized over) the unit ball.
     """
-    _check_weights(w)
-    _, reduced = feasibility_margins(w, H, k, constellations)
-    return reduced / (sigma_z / np.sqrt(2.0))
+    _, self_term, cross, tuple_set = _gains(w, H, k, constellations)
+    return _reduced_margin(self_term, cross, tuple_set, constellations) / (sigma_z / np.sqrt(2.0))
 
 
 def sminr_power(
     w: np.ndarray, H: np.ndarray, k: int, constellations, sigma_z: float
 ) -> float:
     """Power-based SMINR; may be negative when interference dominates."""
-    _check_weights(w)
-    gains = np.asarray(w) @ H
-    self_part = (gains[k].real * constellations[k].step) ** 2
-    cross = 0.0
-    for j in range(H.shape[1]):
-        if j == k:
-            continue
-        cross += (gains[j].real * constellations[j].max_symbol) ** 2
-    return (self_part - cross) / (sigma_z**2 / 2.0)
+    _, self_term, cross, tuple_set = _gains(w, H, k, constellations)
+    peak = _peak_gains(cross, tuple_set, constellations)
+    return (self_term**2 - float(peak @ peak)) / (sigma_z**2 / 2.0)
 
 
 def error_floor(k: int, constellations) -> float:

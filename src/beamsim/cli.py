@@ -67,6 +67,10 @@ def _parse_users(text: str):
         order = int(mod[:-3])
     except ValueError:
         raise ConfigError(f"bad users spec {text!r}, expected e.g. 4x8pam") from None
+    # every order is >= 2, so each user has at least 2^(K-1) interferer tuples
+    if 2 ** min(count - 1, 64) > sim.convex.MAX_FULL_TUPLES:
+        raise ConfigError(f"{count} users exceed the cap of {sim.convex.MAX_FULL_TUPLES} "
+                          "interferer tuples per user")
     return tuple(unit_energy_pam(order) for _ in range(count))
 
 
@@ -190,11 +194,14 @@ def cmd_rate(args) -> int:
     if scenario.n_symbols < 1:
         raise ConfigError("rate needs --symbols >= 1: the 64-QAM reference counts "
                           "symbol errors")
+    try:
+        qam_scenario = dataclasses.replace(
+            scenario, users=(unit_energy_pam(8),) * 2, methods=(sim.ZF, sim.MMSE)
+        )
+    except ValueError as exc:
+        raise ConfigError(f"64-QAM reference: {exc}") from exc
     n_workers = _n_workers(args)
     result = sim.run_sweep(scenario, n_workers=n_workers)
-    qam_scenario = dataclasses.replace(
-        scenario, users=(unit_energy_pam(8),) * 2, methods=(sim.ZF, sim.MMSE)
-    )
     qam = sim.qam_reference_sweep(qam_scenario, qam_order=64, n_workers=n_workers)
     print(f"wrote {_write_outputs(args.out, scenario, [result, qam])}")
     return 0

@@ -5,10 +5,10 @@ Three programs over the lifted real weight vector w_bar in R^{2N}:
 * MPE_FULL     -- minimize the exact Q-sum error probability subject to
                   ||w|| <= 1 and one nonnegativity constraint per interferer
                   tuple.
-* MPE_REDUCED  -- same objective and feasible set, with the exponential
-                  tuple constraints collapsed to the 2^(K-1) extreme sign
-                  patterns of the largest interferer symbols (equivalent to
-                  the single absolute-value margin constraint).
+* MPE_REDUCED  -- same objective and feasible set, constrained only by the
+                  2^(K-1) tuple rows with every interferer at a peak symbol
+                  (jointly equivalent to the single absolute-value margin
+                  constraint).
 * SMINR_AMP    -- maximize the amplitude SMINR over the same feasible set.
 
 All programs are solved on the lifted real vector where every quantity is a
@@ -36,7 +36,6 @@ certified against its own rows.
 """
 
 import csv
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -91,16 +90,14 @@ class ConvexProgram:
             raise ValueError(f"unknown program kind {self.kind!r}")
         if self.sigma_z <= 0:
             raise ValueError("sigma_z must be positive")
-        N, K = self.H.shape
+        K = self.H.shape[1]
         k = self.user
         # column j is lift_channel(H[:, j])
         lifted = np.concatenate([self.H.real, -self.H.imag])
         self.a = self.constellations[k].step * lifted[:, k]
         others = [j for j in range(K) if j != k]
-        self.U = np.stack(
-            [self.constellations[j].max_symbol * lifted[:, j] for j in others],
-            axis=0,
-        ) if others else np.zeros((0, 2 * N))
+        peaks = np.array([self.constellations[j].max_symbol for j in others])
+        self.U = peaks[:, None] * lifted[:, others].T
 
         tuple_set = enumerate_interferers(self.constellations, k)
         if self.kind == MPE_FULL and tuple_set.count > MAX_FULL_TUPLES:
@@ -112,7 +109,10 @@ class ConvexProgram:
         if self.kind == MPE_FULL:
             self.G_constraints = self.G_objective
         else:
-            self.G_constraints = _sign_pattern_margins(self.a, self.U)
+            # the 2^(K-1) rows with every interferer at a peak symbol; their
+            # minimum is the reduced margin
+            extreme = np.all(np.abs(tuple_set.tuples) == peaks, axis=1)
+            self.G_constraints = self.G_objective[extreme]
         L = self.constellations[k].order
         self.prefactor = 2.0 * (L - 1) / (L * self.G_objective.shape[0])
 
@@ -157,28 +157,6 @@ class SolveReport:
     feasibility: Feasibility
 
 
-def _sign_pattern_margins(a: np.ndarray, U: np.ndarray) -> np.ndarray:
-    """Linear forms a - eps @ U over all sign patterns eps in {+-1}^(K-1).
-
-    Their joint nonnegativity is exactly the absolute-value margin
-    constraint; the minimum over rows equals the reduced margin.
-    """
-    if U.shape[0] == 0:
-        return a[None, :]
-    return a[None, :] - _sign_patterns(U.shape[0]) @ U
-
-
-@functools.lru_cache(maxsize=32)
-def _sign_patterns(m: int) -> np.ndarray:
-    """All 2^m rows of {+-1}^m, read-only; one array per interferer count."""
-    signs = np.array(
-        [[1 - 2 * ((i >> j) & 1) for j in range(m)] for i in range(2**m)],
-        dtype=float,
-    )
-    signs.setflags(write=False)
-    return signs
-
-
 def objective_and_gradient(program: ConvexProgram, w_bar: np.ndarray):
     """Objective value and (sub)gradient at the lifted point w_bar.
 
@@ -188,9 +166,8 @@ def objective_and_gradient(program: ConvexProgram, w_bar: np.ndarray):
     """
     w_bar = np.asarray(w_bar, dtype=float)
     if program.kind == SMINR_AMP:
-        proj = program.U @ w_bar
-        signs = np.where(proj >= 0, 1.0, -1.0)
-        value = (float(w_bar @ program.a) - float(np.sum(np.abs(proj)))) / program.noise_scale
+        signs = np.where(program.U @ w_bar >= 0, 1.0, -1.0)
+        value = program.reduced_margin(w_bar) / program.noise_scale
         grad = (program.a - signs @ program.U) / program.noise_scale
         return value, grad
     value, grad, _ = _mpe_evaluate(program, w_bar)

@@ -1,8 +1,8 @@
 """Monte-Carlo experiment engine: SER sweeps, analytic overlays, rates, CSI error."""
 
-import json
 import math
 import numbers
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -67,6 +67,10 @@ class Scenario:
             raise ValueError("the SNR grid must be a non-empty list of finite values")
         if not self.users:
             raise ValueError("a scenario needs at least one user")
+        if ZF in self.methods and self.n_antennas < len(self.users):
+            raise ValueError(
+                f"ZF needs n_antennas >= users, got {self.n_antennas} < {len(self.users)}"
+            )
         orders = [c.order for c in self.users]
         tuples = max(math.prod(orders) // order for order in orders)
         if tuples > convex.MAX_FULL_TUPLES:
@@ -156,12 +160,6 @@ class SweepResult:
             out.append(d)
         return out
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {"scenario": self.scenario.to_dict(), "rows": self.rows_as_dicts()},
-            indent=2,
-        )
-
 
 def snr_db_to_sigma(snr_db: float) -> float:
     """Noise std for unit-energy symbols: SNR(dB) = 10 log10(1 / sigma_z^2)."""
@@ -238,9 +236,12 @@ def _draw_realization(scenario: Scenario, r_index: int):
 def _map_realizations(fn, scenario: Scenario, n_workers: int, *args):
     """Run ``fn(scenario, r, *args)`` for every realization r on ``n_workers``
     processes and stack its (errors, pe, bound, infeas) arrays in realization
-    order, so the result is bit-identical for any worker count."""
+    order, so the result is bit-identical for any worker count. The pool
+    starts all its processes at once, so it gets no more of them than there
+    are realizations or cores."""
     n_real = scenario.n_realizations
-    if n_workers and n_workers > 1:
+    n_workers = min(n_workers or 1, n_real, os.cpu_count() or 1)
+    if n_workers > 1:
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
             return _stack(n_real, pool.map(
                 fn, [scenario] * n_real, range(n_real),

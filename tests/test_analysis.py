@@ -108,6 +108,22 @@ class TestSminrMetrics:
             0.12309099222679497, rel=1e-10
         )
 
+    def test_power_matches_per_user_loop(self):
+        rng = np.random.default_rng(50)
+        cs = [modem.unit_energy_pam(4), modem.Constellation(3, 0.6, 2.0),
+              modem.unit_energy_pam(8)]
+        for _ in range(20):
+            H = channel.sample_channel(4, 3, rng)
+            w = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+            sigma = rng.uniform(0.1, 1.0)
+            for k in range(3):
+                gains = w @ H
+                cross = sum((gains[j].real * cs[j].max_symbol) ** 2
+                            for j in range(3) if j != k)
+                expected = ((gains[k].real * cs[k].step) ** 2 - cross) / (sigma**2 / 2.0)
+                got = analysis.sminr_power(w, H, k, cs, sigma)
+                assert got == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
     def test_amp_links_bound(self):
         # bound = 2(L-1)/L * Q(sminr amplitude) for a unit-norm weight
         w = W_RAW

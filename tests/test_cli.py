@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import os
@@ -7,6 +8,8 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beamsim import checks, cli, sim
 
@@ -222,6 +225,7 @@ class TestRefusals:
         (["--seed", "-1"], {}),
         (["--users", "9x8pam"], {}),
         ([], {"BEAMSIM_THREADS": "abc"}),
+        (["--antennas", "2", "--users", "4x8pam", "--methods", "MMSE,ZF"], {}),
     ])
     def test_bad_input_exits_2(self, tmp_path, capsys, monkeypatch, flags, env):
         for name, value in env.items():
@@ -247,3 +251,57 @@ class TestRefusals:
         assert err.startswith("error: ")
         assert "Traceback" not in err
         assert not (out / "sweep.json").exists()
+
+    def test_rate_with_one_antenna_exits_2_before_sweeping(self, tmp_path, capsys,
+                                                           monkeypatch):
+        # the PAM methods run on one antenna, the 64-QAM ZF reference cannot
+        def fail_run_sweep(*args, **kwargs):
+            raise AssertionError("run_sweep called")
+
+        monkeypatch.setattr(sim, "run_sweep", fail_run_sweep)
+        out = tmp_path / "rate"
+        rc = cli.main(["rate", *FAST_ARGS, "--antennas", "1", "--methods", "MMSE,SMINR",
+                       "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: 64-QAM reference: ZF needs n_antennas")
+        assert not (out / "sweep.json").exists()
+
+
+NUMBER_TEXT = st.one_of(
+    st.sampled_from(["0", "-0", "1", "5", "40", "1e-300", "1e308", "inf", "nan", "1e999"]),
+    st.floats().map(repr),
+    st.integers(-50, 50).map(str),
+)
+SNR_TEXT = st.one_of(
+    st.text(max_size=24),
+    st.lists(NUMBER_TEXT, max_size=6).map(",".join),
+    st.lists(NUMBER_TEXT, min_size=3, max_size=3).map(":".join),
+)
+USERS_TEXT = st.one_of(
+    st.text(max_size=16),
+    st.tuples(st.integers(-2, 10**12), st.integers(-2, 10**7),
+              st.sampled_from(["pam", "PAM", "qam", ""])).map(lambda t: "{}x{}{}".format(*t)),
+)
+
+
+class TestSpecProperties:
+    """Every generated spec text gives a Scenario or a ConfigError."""
+
+    @staticmethod
+    def _build(snr, users):
+        args = argparse.Namespace(preset=None, scenario=None, snr=snr, users=users)
+        try:
+            assert isinstance(cli.build_scenario(args), sim.Scenario)
+        except cli.ConfigError:
+            pass
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(snr=SNR_TEXT)
+    def test_snr_spec(self, snr):
+        self._build(snr, "2x4pam")
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(users=USERS_TEXT)
+    def test_users_spec(self, users):
+        self._build("0:10:20", users)

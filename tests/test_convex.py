@@ -24,7 +24,7 @@ class TestProgramSetup:
 
     def test_reduced_constraint_count(self):
         prog, _, _ = make_program(0, convex.MPE_REDUCED)
-        # sign patterns over K-1 interferers
+        # the extreme tuples: every one of the K-1 interferers at +-its peak
         assert prog.G_constraints.shape == (4, 8)
 
     def test_reduced_margin_matches_analysis(self):
@@ -43,6 +43,30 @@ class TestProgramSetup:
         full_rows = {tuple(np.round(g, 12)) for g in prog_f.G_objective}
         for g in prog_r.G_constraints:
             assert tuple(np.round(g, 12)) in full_rows
+
+
+    @pytest.mark.parametrize("orders", [(4,), (3, 8), (8, 3, 4), (2, 3, 4, 8)])
+    def test_reduced_rows_equal_sign_pattern_rows(self, orders):
+        K = len(orders)
+        rng = np.random.default_rng(sum(orders))
+        H = channel.sample_channel(3, K, rng)
+        cs = [modem.Constellation(L, 0.7, 2.5) for L in orders]
+        m = K - 1
+        # the rows a - S @ U over all sign patterns S in {+-1}^(K-1)
+        signs = np.array([[1 - 2 * ((i >> j) & 1) for j in range(m)]
+                          for i in range(2**m)], dtype=float).reshape(2**m, m)
+        for k in range(K):
+            prog = convex.ConvexProgram(convex.MPE_REDUCED, H, k, cs, 0.1)
+            full = convex.ConvexProgram(convex.MPE_FULL, H, k, cs, 0.1)
+            expected = prog.a[None, :] - signs @ prog.U
+            assert prog.G_constraints.shape == (2**m, prog.dimension)
+            # bit for bit, each reduced row is a row of the full program ...
+            assert {tuple(g) for g in prog.G_constraints} <= {tuple(g) for g in full.G_objective}
+            # ... and the rows pair one to one with the sign-pattern rows; the
+            # tuple matmul may round a sum of products differently
+            dist = np.abs(prog.G_constraints[:, None, :] - expected[None, :, :]).max(axis=2)
+            assert sorted(dist.argmin(axis=1)) == list(range(2**m))
+            assert dist.min(axis=1).max() <= 4 * np.finfo(float).eps * np.abs(expected).max()
 
 
 class TestObjective:

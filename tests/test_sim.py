@@ -56,12 +56,17 @@ class TestScenario:
         with pytest.raises(ValueError):
             tiny_scenario(**bad)
 
+    def test_zf_needs_as_many_antennas_as_users(self):
+        with pytest.raises(ValueError, match="ZF needs n_antennas"):
+            tiny_scenario(n_antennas=1)
+        assert tiny_scenario(n_antennas=1, methods=(sim.MMSE, sim.SMINR)).n_antennas == 1
+
     def test_tuple_cap(self):
         # 8^6 = 262144 interferer tuples per user stay under the cap, 8^7 do not
         pam8 = modem.unit_energy_pam(8)
-        assert len(tiny_scenario(users=(pam8,) * 7).users) == 7
+        assert len(tiny_scenario(n_antennas=8, users=(pam8,) * 7).users) == 7
         with pytest.raises(ValueError, match="interferer tuples"):
-            tiny_scenario(users=(pam8,) * 8)
+            tiny_scenario(n_antennas=8, users=(pam8,) * 8)
 
     def test_snr_conversion(self):
         assert sim.snr_db_to_sigma(0.0) == 1.0
@@ -97,6 +102,33 @@ class TestRunSweep:
         serial = sim.run_sweep(s, n_workers=1)
         parallel = sim.run_sweep(s, n_workers=2)
         assert serial.rows == parallel.rows
+
+    @pytest.mark.parametrize("n_workers, cores, expected", [
+        (100_000, 2, 2), (100_000, 64, 8), (3, 64, 3), (100_000, None, 1),
+    ])
+    def test_pool_size_is_capped(self, monkeypatch, n_workers, cores, expected):
+        # a pool forks all its processes at once: never more than the
+        # realizations (8 here) or the cores
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(sim, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(sim.os, "cpu_count", lambda: cores)
+        s = tiny_scenario()
+        assert sim.run_sweep(s, n_workers=n_workers).rows == sim.run_sweep(s).rows
+        assert sizes == ([expected] if expected > 1 else [])
 
     def test_worker_count_does_not_change_qam_reference(self):
         # QAM rows hold NaN, which never compares equal, so compare the CSV text
@@ -264,10 +296,12 @@ class TestOutputFormats:
 
     def test_json_is_valid_and_nan_free(self):
         res = sim.run_sweep(tiny_scenario(n_symbols=0))
-        doc = json.loads(res.to_json())
-        assert "scenario" in doc and "rows" in doc
-        for row in doc["rows"]:
-            assert row["ser"] is None  # NaN maps to null
+        rows = res.rows_as_dicts()
+        assert len(rows) == len(res.rows)
+        for row in rows:
+            assert row["ser"] is None and row["ser_ci"] is None  # NaN maps to null
+        doc = json.loads(json.dumps({"rows": rows}, allow_nan=False))
+        assert doc["rows"] == rows
 
     def test_series_is_snr_ordered(self):
         res = sim.run_sweep(tiny_scenario())
