@@ -14,19 +14,6 @@ import numpy as np
 from . import __version__, checks, sim
 from .modem import unit_energy_pam
 
-PRESETS = {
-    # four-user 8-PAM uplink, all methods (error-rate and bound figures)
-    "fig1": dict(methods=sim.ALL_METHODS),
-    "fig2": dict(methods=sim.ALL_METHODS),
-    "fig3": dict(methods=sim.ALL_METHODS),
-    # sum-rate comparison incl. the two-user 64-QAM reference
-    "fig4": dict(methods=sim.ALL_METHODS, snr="0:5:50"),
-    # imperfect-CSI comparison, closed-form methods only
-    "fig5": dict(methods=(sim.ZF, sim.MMSE, sim.SMINR), snr="0:5:45"),
-}
-# the largest preset grid, 0:5:50, has 11 points
-MAX_SNR_POINTS = 1000
-
 
 class ConfigError(Exception):
     pass
@@ -43,10 +30,10 @@ def _parse_snr(text: str):
             if step <= 0 or stop < start:
                 raise ValueError
             span = (stop - start) / step
-            if not span <= MAX_SNR_POINTS - 1:  # also refuses inf and nan
+            if not span <= sim.MAX_SNR_POINTS - 1:  # also refuses inf and nan
                 raise ConfigError(
                     f"SNR range {text!r} is not a finite grid of at most "
-                    f"{MAX_SNR_POINTS} points"
+                    f"{sim.MAX_SNR_POINTS} points"
                 )
             n = int(round(span)) + 1
             return tuple(start + i * step for i in range(n))
@@ -66,7 +53,7 @@ def _parse_users(text: str):
             raise ValueError
         order = int(mod[:-3])
     except ValueError:
-        raise ConfigError(f"bad users spec {text!r}, expected e.g. 4x8pam") from None
+        raise ConfigError(f"bad users spec {text!r}, expected e.g. 2x4pam") from None
     # every order is >= 2, so each user has at least 2^(K-1) interferer tuples
     if 2 ** min(count - 1, 64) > sim.convex.MAX_FULL_TUPLES:
         raise ConfigError(f"{count} users exceed the cap of {sim.convex.MAX_FULL_TUPLES} "
@@ -74,55 +61,74 @@ def _parse_users(text: str):
     return tuple(unit_energy_pam(order) for _ in range(count))
 
 
-def _load_scenario_file(path: str) -> dict:
-    parser = configparser.ConfigParser()
-    if not parser.read(path):
+def _parse_methods(text: str):
+    return tuple(m.strip().upper() for m in text.split(","))
+
+
+# Every scenario key: a scenario-file key and the flag --key (with "-" for
+# "_"), mapped to its Scenario field, the parser of its text and its help.
+KEYS = {
+    "antennas": ("n_antennas", int, "receive antennas"),
+    "users": ("users", _parse_users, "users and their PAM order, e.g. 2x4pam"),
+    "snr": ("snr_grid_db", _parse_snr, "grid as start:step:stop or comma list (dB)"),
+    "realizations": ("n_realizations", int, "channel draws"),
+    "symbols": ("n_symbols", int, "Monte-Carlo symbols per channel draw"),
+    "csi_var": ("csi_error_var", float, "CSI error variance"),
+    "methods": ("methods", _parse_methods, "comma list of methods"),
+    "seed": ("seed", int, "random seed"),
+}
+# csi sweeps its own fixed CSI error variances
+CSI_KEYS = {key: spec for key, spec in KEYS.items() if key != "csi_var"}
+
+# Scenario-key text of each figure preset; a key it leaves out keeps the
+# Scenario default (four 8-PAM users on four antennas, every method).
+PRESETS = {
+    # error-rate and bound figures
+    "fig1": {}, "fig2": {}, "fig3": {},
+    # sum-rate comparison incl. the two-user 64-QAM reference
+    "fig4": {"snr": "0:5:50"},
+    # imperfect-CSI comparison, closed-form methods only
+    "fig5": {"methods": ",".join(sim.CSI_METHODS), "snr": "0:5:45"},
+}
+
+
+def _load_scenario_file(path: str, keys) -> dict:
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        found = parser.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"bad scenario file {path}: {exc}") from None
+    if not found:
         raise ConfigError(f"cannot read scenario file {path}")
     if "scenario" not in parser:
         raise ConfigError(f"{path} has no [scenario] section")
+    unknown = sorted(set(parser["scenario"]) - set(keys))
+    if unknown:
+        raise ConfigError(f"{path}: unknown keys {unknown}, expected some of {sorted(keys)}")
     return dict(parser["scenario"])
 
 
-def build_scenario(args) -> sim.Scenario:
-    values = {}
+def build_scenario(args, keys=KEYS, base=None) -> sim.Scenario:
+    """Scenario from the key text of ``base``, the preset, the scenario file
+    and the flags, each overriding the one before.
+
+    Only ``keys`` may come from the file and the flags; a key that no source
+    gives keeps its Scenario default.
+    """
+    text = dict(base or {})
     if args.preset:
         if args.preset not in PRESETS:
             raise ConfigError(f"unknown preset {args.preset!r}")
-        values.update(PRESETS[args.preset])
+        text.update(PRESETS[args.preset])
     if args.scenario:
-        values.update(_load_scenario_file(args.scenario))
-    for flag, key in [
-        ("antennas", "antennas"), ("users", "users"), ("snr", "snr"),
-        ("realizations", "realizations"), ("symbols", "symbols"),
-        ("csi_var", "csi_var"), ("methods", "methods"), ("seed", "seed"),
-    ]:
-        v = getattr(args, flag, None)
-        if v is not None:
-            values[key] = v
-
+        text.update(_load_scenario_file(args.scenario, keys))
+    text.update((key, v) for key in keys if (v := getattr(args, key, None)) is not None)
     try:
-        users = values.get("users", "4x8pam")
-        if isinstance(users, str):
-            users = _parse_users(users)
-        snr = values.get("snr", "0:5:40")
-        if isinstance(snr, str):
-            snr = _parse_snr(snr)
-        methods = values.get("methods", sim.ALL_METHODS)
-        if isinstance(methods, str):
-            methods = tuple(m.strip().upper() for m in methods.split(","))
-        scenario = sim.Scenario(
-            n_antennas=int(values.get("antennas", 4)),
-            users=users,
-            snr_grid_db=snr,
-            n_realizations=int(values.get("realizations", 500)),
-            n_symbols=int(values.get("symbols", 2000)),
-            csi_error_var=float(values.get("csi_var", 0.0)),
-            methods=methods,
-            seed=int(values.get("seed", 0)),
-        )
+        scenario = sim.Scenario(**{KEYS[key][0]: KEYS[key][1](value)
+                                   for key, value in text.items()})
         if getattr(args, "paper_scale", False):
             scenario = scenario.paper_scale()
-    except (ValueError, KeyError) as exc:
+    except (ValueError, OverflowError) as exc:
         raise ConfigError(str(exc)) from exc
     return scenario
 
@@ -208,9 +214,9 @@ def cmd_rate(args) -> int:
 
 
 def cmd_csi(args) -> int:
-    scenario = build_scenario(args)
-    if not set(scenario.methods) <= {sim.ZF, sim.MMSE, sim.SMINR}:
-        scenario = dataclasses.replace(scenario, methods=(sim.ZF, sim.MMSE, sim.SMINR))
+    scenario = build_scenario(args, CSI_KEYS, {"methods": ",".join(sim.CSI_METHODS)})
+    if not set(scenario.methods) <= set(sim.CSI_METHODS):
+        raise ConfigError(f"csi takes only the methods {','.join(sim.CSI_METHODS)}")
     n_workers = _n_workers(args)
     variances = (0.0, 0.001, 0.01)
     results = [
@@ -242,23 +248,16 @@ def make_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, needs_out=True):
+    def add_common(p, keys=KEYS):
         p.add_argument("--preset", choices=sorted(PRESETS), help="figure preset")
         p.add_argument("--scenario", help="scenario file ([scenario] key = value)")
-        p.add_argument("--antennas", type=int)
-        p.add_argument("--users", help="e.g. 4x8pam")
-        p.add_argument("--snr", help="grid as start:step:stop or comma list (dB)")
-        p.add_argument("--realizations", type=int)
-        p.add_argument("--symbols", type=int)
-        p.add_argument("--csi-var", dest="csi_var", type=float)
-        p.add_argument("--methods", help="comma list of methods")
-        p.add_argument("--seed", type=int)
+        for key, (_, _, help_text) in keys.items():
+            p.add_argument("--" + key.replace("_", "-"), dest=key, help=help_text)
         p.add_argument("--paper-scale", action="store_true",
                        help="use the original 10^4 x 10^3 Monte-Carlo scale")
         p.add_argument("--threads", type=int,
                        help="worker processes (default: BEAMSIM_THREADS or all cores)")
-        if needs_out:
-            p.add_argument("--out", required=True, help="output directory")
+        p.add_argument("--out", required=True, help="output directory")
 
     p_sweep = sub.add_parser("sweep", help="SER / analytic-Pe / bound sweep")
     add_common(p_sweep)
@@ -269,7 +268,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_rate.set_defaults(func=cmd_rate)
 
     p_csi = sub.add_parser("csi", help="imperfect-CSI sweep over error variances")
-    add_common(p_csi)
+    add_common(p_csi, CSI_KEYS)
     p_csi.set_defaults(func=cmd_csi)
 
     p_check = sub.add_parser("check", help="run the property suites")

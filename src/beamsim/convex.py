@@ -158,19 +158,15 @@ class SolveReport:
 
 
 def objective_and_gradient(program: ConvexProgram, w_bar: np.ndarray):
-    """Objective value and (sub)gradient at the lifted point w_bar.
+    """MPE objective value and exact gradient at the lifted point w_bar.
 
-    MPE programs: the fixed-denominator Q-sum error probability and its exact
-    gradient. SMINR_AMP: the amplitude SMINR (to be maximized) and a
-    subgradient with the deterministic choice sign(0) = +1.
+    The objective is the fixed-denominator Q-sum error probability. SMINR_AMP
+    has no smooth objective (``solve`` takes its value from the feasibility
+    phase) and is refused with ``ValueError``.
     """
-    w_bar = np.asarray(w_bar, dtype=float)
     if program.kind == SMINR_AMP:
-        signs = np.where(program.U @ w_bar >= 0, 1.0, -1.0)
-        value = program.reduced_margin(w_bar) / program.noise_scale
-        grad = (program.a - signs @ program.U) / program.noise_scale
-        return value, grad
-    value, grad, _ = _mpe_evaluate(program, w_bar)
+        raise ValueError("SMINR_AMP has no smooth objective")
+    value, grad, _ = _mpe_evaluate(program, np.asarray(w_bar, dtype=float))
     return value, grad
 
 
@@ -350,11 +346,10 @@ def solve(program: ConvexProgram, start: np.ndarray = None, trace_path: str = No
 
     if program.kind == SMINR_AMP:
         _write_trace(trace_path, program, [])
-        value, _ = objective_and_gradient(program, feas.w_bar)
+        margin = program.reduced_margin(feas.w_bar)
         status = OPTIMAL if feas.gap <= TOL_KKT else MAX_ITER
-        return SolveReport(unlift_weights(feas.w_bar), value,
-                           program.reduced_margin(feas.w_bar), status,
-                           feas.iterations, feas.gap, feas)
+        return SolveReport(unlift_weights(feas.w_bar), margin / program.noise_scale,
+                           margin, status, feas.iterations, feas.gap, feas)
 
     w_bar, value, grad, trace = _sphere_sqp(
         program, np.asarray(start if start is not None else feas.w_bar, dtype=float)

@@ -97,11 +97,11 @@ def decide(y_real: float, gain: float, c: Constellation) -> int:
 
 
 def decide_block(y_real: np.ndarray, gain: float, c: Constellation) -> np.ndarray:
-    """Vectorized ``decide`` for positive gain. Returns 1-based indices."""
+    """Vectorized ``decide``. Returns 1-based indices."""
     if gain <= 0:
-        return np.array([decide(float(y), gain, c) for y in np.ravel(y_real)]).reshape(
-            np.shape(y_real)
-        )
+        # every middle interval (gain (a - d), gain (a + d)] is empty
+        return np.where(np.asarray(y_real) <= gain * (c.amplitudes()[0] + c.half_spacing),
+                        1, c.order)
     thresholds = gain * (c.amplitudes()[:-1] + c.half_spacing)
     # side='left' assigns boundary samples to the lower bin (the "<=" branch)
     return np.searchsorted(thresholds, y_real, side="left") + 1

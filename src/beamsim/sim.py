@@ -18,11 +18,15 @@ SMINR_AMP = "SMINR_AMP"
 SMINR = "SMINR"
 
 ALL_METHODS = (ZF, MMSE, MPE_FULL, MPE_REDUCED, SMINR_AMP, SMINR)
+# the closed-form methods of the imperfect-CSI experiment
+CSI_METHODS = (ZF, MMSE, SMINR)
 SOLVER_KINDS = {MPE_FULL: convex.MPE_FULL, MPE_REDUCED: convex.MPE_REDUCED,
                 SMINR_AMP: convex.SMINR_AMP}
 
 CSV_COLUMNS = ("method", "snr_db", "ser", "ser_ci", "pe_analytic", "pe_bound",
                "sum_rate", "infeasible_frac")
+# the largest preset grid, 0:5:50, has 11 points
+MAX_SNR_POINTS = 1000
 
 
 @dataclass
@@ -63,8 +67,10 @@ class Scenario:
                 raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
         if not (math.isfinite(self.csi_error_var) and self.csi_error_var >= 0):
             raise ValueError("csi_error_var must be finite and nonnegative")
-        if not self.snr_grid_db or not all(map(math.isfinite, self.snr_grid_db)):
-            raise ValueError("the SNR grid must be a non-empty list of finite values")
+        if (not 0 < len(self.snr_grid_db) <= MAX_SNR_POINTS
+                or not all(map(math.isfinite, self.snr_grid_db))):
+            raise ValueError(f"the SNR grid must be a list of 1 to {MAX_SNR_POINTS} "
+                             "finite values")
         if not self.users:
             raise ValueError("a scenario needs at least one user")
         if ZF in self.methods and self.n_antennas < len(self.users):
@@ -359,9 +365,8 @@ def imperfect_csi_sweep(scenario: Scenario, n_workers: int = 1) -> SweepResult:
     Restricted to the closed-form methods compared in the imperfect-CSI
     experiment; csi_error_var = 0 reduces exactly to ``run_sweep``.
     """
-    allowed = {ZF, MMSE, SMINR}
-    if not set(scenario.methods) <= allowed:
-        raise ValueError(f"imperfect-CSI sweep supports methods {sorted(allowed)}")
+    if not set(scenario.methods) <= set(CSI_METHODS):
+        raise ValueError(f"imperfect-CSI sweep supports methods {sorted(CSI_METHODS)}")
     return run_sweep(scenario, n_workers=n_workers)
 
 

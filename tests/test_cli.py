@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import jsonschema
@@ -16,6 +17,9 @@ from beamsim import checks, cli, sim
 SCHEMA = json.loads(
     (Path(sim.__file__).parent / "schemas" / "sweep.schema.json").read_text()
 )
+
+# a small scenario, so that a file whose refusal fails still runs quickly
+SMALL_FILE_LINES = b"users = 2x4pam\nantennas = 3\nrealizations = 2\nsymbols = 10\n"
 
 FAST_ARGS = [
     "--users",
@@ -94,6 +98,17 @@ class TestScenarioBuilding:
         )
         with pytest.raises(cli.ConfigError):
             cli.build_scenario(ns)
+
+    def test_no_source_gives_scenario_defaults(self):
+        args = argparse.Namespace(preset=None, scenario=None)
+        assert cli.build_scenario(args) == sim.Scenario()
+        for fig in ("fig1", "fig2", "fig3"):
+            args = argparse.Namespace(preset=fig, scenario=None)
+            assert cli.build_scenario(args) == sim.Scenario()
+
+    def test_keys_name_scenario_fields(self):
+        fields = {f.name for f in dataclasses.fields(sim.Scenario)}
+        assert {field for field, _, _ in cli.KEYS.values()} == fields
 
     def test_paper_scale_flag(self):
         ns = cli.make_parser().parse_args(
@@ -224,6 +239,8 @@ class TestRefusals:
         (["--snr", "0:1:inf"], {}),
         (["--seed", "-1"], {}),
         (["--users", "9x8pam"], {}),
+        (["--users", "1x" + "9" * 400 + "pam"], {}),
+        (["--snr", ",".join(["0"] * 1001)], {}),
         ([], {"BEAMSIM_THREADS": "abc"}),
         (["--antennas", "2", "--users", "4x8pam", "--methods", "MMSE,ZF"], {}),
     ])
@@ -237,6 +254,39 @@ class TestRefusals:
         assert err.startswith("error: ")
         assert "Traceback" not in err
         assert not (out / "sweep.json").exists()
+
+    @pytest.mark.parametrize("content", [
+        SMALL_FILE_LINES,
+        b"[scenario]\n" + SMALL_FILE_LINES + b"antennas = 4\n",
+        b"[scenario]\n" + SMALL_FILE_LINES + b"methods = ZF%\n",
+        b"[scenario]\n" + SMALL_FILE_LINES + b"methods = ZF\xff\n",
+        b"[scenario]\n" + SMALL_FILE_LINES + b"antenna = 3\n",
+        b"[scenario]\n" + SMALL_FILE_LINES + b"snr = " + b",".join([b"0"] * 1001) + b"\n",
+    ], ids=["no-section-header", "duplicate-key", "percent", "not-utf8", "unknown-key",
+            "1001-snr-points"])
+    def test_bad_scenario_file_exits_2(self, tmp_path, capsys, content):
+        path = tmp_path / "scen.ini"
+        path.write_bytes(content)
+        out = tmp_path / "run"
+        rc = cli.main(["sweep", "--scenario", str(path), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+        assert not (out / "sweep.json").exists()
+
+    def test_csi_refuses_other_methods(self, tmp_path, capsys):
+        out = tmp_path / "csi"
+        rc = cli.main(["csi", *FAST_ARGS, "--methods", "MPE_FULL", "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: csi takes only the methods")
+        assert not (out / "sweep.json").exists()
+
+    def test_csi_has_no_csi_var_flag(self, tmp_path):
+        # csi sweeps its own variances, so a given one would be ignored
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["csi", *FAST_ARGS, "--csi-var", "0.1", "--out", str(tmp_path)])
+        assert exc.value.code == 2
 
     def test_rate_without_symbols_exits_2_before_sweeping(self, tmp_path, capsys,
                                                          monkeypatch):
@@ -305,3 +355,45 @@ class TestSpecProperties:
     @given(users=USERS_TEXT)
     def test_users_spec(self, users):
         self._build("0:10:20", users)
+
+
+KEY_TEXT = st.one_of(
+    st.sampled_from(sorted(cli.KEYS)),
+    st.sampled_from(["antenna", "csi-var", "SNR", "snr_db", ""]),
+    st.text(max_size=8),
+)
+VALUE_TEXT = st.one_of(
+    NUMBER_TEXT, SNR_TEXT, USERS_TEXT,
+    st.sampled_from(["ZF", "zf, mmse", "MPE_FULL,SMINR", "ZF,", "2x4pam"]),
+)
+SCENARIO_TEXT = st.lists(
+    st.tuples(KEY_TEXT, st.sampled_from([" = ", ":", "="]), VALUE_TEXT).map("".join),
+    max_size=8,
+).map(lambda lines: "\n".join(["[scenario]", *lines]) + "\n")
+
+
+class TestScenarioFileProperties:
+    """Every generated scenario file gives a Scenario or a ConfigError."""
+
+    @staticmethod
+    def _build(content: bytes):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "scen.ini")
+            with open(path, "wb") as fh:
+                fh.write(content)
+            args = argparse.Namespace(preset=None, scenario=path)
+            try:
+                assert isinstance(cli.build_scenario(args), sim.Scenario)
+            except cli.ConfigError:
+                pass
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(content=st.one_of(st.binary(max_size=64),
+                             st.binary(max_size=64).map(lambda b: b"[scenario]\n" + b)))
+    def test_raw_bytes(self, content):
+        self._build(content)
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(text=SCENARIO_TEXT)
+    def test_scenario_lines(self, text):
+        self._build(text.encode())

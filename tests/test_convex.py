@@ -95,6 +95,11 @@ class TestObjective:
                 fd = (fp - fm) / (2 * eps)
                 assert grad[i] == pytest.approx(fd, rel=2e-5, abs=1e-9)
 
+    def test_sminr_amp_has_no_smooth_objective(self):
+        prog, _, _ = make_program(4, convex.SMINR_AMP)
+        with pytest.raises(ValueError, match="SMINR_AMP"):
+            convex.objective_and_gradient(prog, np.ones(prog.dimension) / 3.0)
+
     def test_convexity_along_segments(self):
         # midpoint value never exceeds chord average on feasible segments
         prog, _, _ = make_program(8, convex.MPE_FULL, sigma=0.15)

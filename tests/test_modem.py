@@ -94,12 +94,13 @@ class TestDecide:
 
     def test_decide_block_matches_scalar(self):
         rng = np.random.default_rng(0)
-        c = modem.unit_energy_pam(8)
-        y = rng.standard_normal(500) * 2
-        for gain in (0.5, 2.0):
-            block = modem.decide_block(y, gain, c)
-            scalar = [modem.decide(float(v), gain, c) for v in y]
-            assert np.array_equal(block, scalar)
+        y = np.concatenate([rng.standard_normal(500) * 2, [0.0, np.nan, np.inf, -np.inf]])
+        for order in (2, 3, 4, 8):
+            c = modem.unit_energy_pam(order)
+            for gain in (0.5, 2.0, -1.0, 0.0):
+                block = modem.decide_block(y, gain, c)
+                scalar = [modem.decide(float(v), gain, c) for v in y]
+                assert np.array_equal(block, scalar)
 
 
 class TestInterfererTuples:
