@@ -5,6 +5,7 @@ import configparser
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -95,7 +96,7 @@ PRESETS = {
 def _load_scenario_file(path: str, keys) -> dict:
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        found = parser.read(path, encoding="utf-8")
+        found = parser.read(path, encoding="utf-8-sig")
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"bad scenario file {path}: {exc}") from None
     if not found:
@@ -146,46 +147,46 @@ def _n_workers(args) -> int:
 
 
 def _write_outputs(out_dir, scenario, results, csi_vars=None):
-    """Write sweep.csv, sweep.json and the manifest for the rows of ``results``.
+    """Write sweep.csv, sweep.json and manifest.json for the rows of ``results``.
 
-    ``csi_vars`` gives one CSI error variance per result; it becomes the
-    leading CSV column and the trailing key of each JSON row.
+    The row columns are the SweepRow fields in order and the scenario object
+    is ``dataclasses.asdict(scenario)``. CSV numbers are written with 17
+    significant digits; JSON writes NaN as null. ``csi_vars`` gives one CSI
+    error variance per result; it becomes the leading CSV column and the
+    trailing key of each JSON row.
     """
-    os.makedirs(out_dir, exist_ok=True)
-    header = ",".join(sim.CSV_COLUMNS)
-    lines = [header if csi_vars is None else "csi_var," + header]
-    rows = []
+    columns = [f.name for f in dataclasses.fields(sim.SweepRow)]
+    header = columns if csi_vars is None else ["csi_var", *columns]
+    lines, rows = [",".join(header)], []
     for i, result in enumerate(results):
-        for line, row in zip(result.to_csv().splitlines()[1:], result.rows_as_dicts()):
+        for r in result.rows:
+            row = dataclasses.asdict(r)
             if csi_vars is not None:
-                line = f"{csi_vars[i]:.17g},{line}"
                 row["csi_var"] = csi_vars[i]
-            lines.append(line)
-            rows.append(row)
+            lines.append(",".join(v if isinstance(v, str) else f"{v:.17g}"
+                                  for v in map(row.get, header)))
+            rows.append({c: None if isinstance(v, float) and math.isnan(v) else v
+                         for c, v in row.items()})
+    scenario_dict = dataclasses.asdict(scenario)
+    os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, "sweep.csv")
     json_path = os.path.join(out_dir, "sweep.json")
-    with open(csv_path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-    with open(json_path, "w", newline="\n") as fh:
-        json.dump({"scenario": scenario.to_dict(), "rows": rows}, fh, indent=2)
-        fh.write("\n")
-    _write_manifest(out_dir, scenario, [csv_path, json_path])
-    return csv_path
-
-
-def _write_manifest(out_dir, scenario, outputs):
-    """Write manifest.json: scenario digest, code version, seed and outputs."""
-    canonical = json.dumps(scenario.to_dict(), sort_keys=True).encode()
+    canonical = json.dumps(scenario_dict, sort_keys=True).encode()
     manifest = {
         "scenario_digest": hashlib.sha256(canonical).hexdigest(),
         "code_version": __version__,
         "seed": scenario.seed,
         "created_unix": int(time.time()),
-        "outputs": outputs,
+        "outputs": [csv_path, json_path],
     }
-    with open(os.path.join(out_dir, "manifest.json"), "w", newline="\n") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
+    for name, text in (
+        (csv_path, "\n".join(lines)),
+        (json_path, json.dumps({"scenario": scenario_dict, "rows": rows}, indent=2)),
+        (os.path.join(out_dir, "manifest.json"), json.dumps(manifest, indent=2)),
+    ):
+        with open(name, "w", newline="\n") as fh:
+            fh.write(text + "\n")
+    return csv_path
 
 
 def cmd_sweep(args) -> int:

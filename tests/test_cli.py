@@ -12,11 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beamsim import checks, cli, sim
+from beamsim import checks, cli, modem, sim
 
 SCHEMA = json.loads(
     (Path(sim.__file__).parent / "schemas" / "sweep.schema.json").read_text()
 )
+ROW_COLUMNS = [f.name for f in dataclasses.fields(sim.SweepRow)]
 
 # a small scenario, so that a file whose refusal fails still runs quickly
 SMALL_FILE_LINES = b"users = 2x4pam\nantennas = 3\nrealizations = 2\nsymbols = 10\n"
@@ -110,6 +111,25 @@ class TestScenarioBuilding:
         fields = {f.name for f in dataclasses.fields(sim.Scenario)}
         assert {field for field, _, _ in cli.KEYS.values()} == fields
 
+    def test_scenario_file_with_byte_order_mark(self, tmp_path):
+        text = b"[scenario]\nusers = 2x4pam\n"
+        built = []
+        for name, content in (("plain.ini", text), ("bom.ini", b"\xef\xbb\xbf" + text)):
+            path = tmp_path / name
+            path.write_bytes(content)
+            built.append(cli.build_scenario(argparse.Namespace(preset=None, scenario=str(path))))
+        assert built[0] == built[1]
+        assert built[0].users == cli._parse_users("2x4pam")
+
+    @pytest.mark.parametrize("command", ["sweep", "rate", "csi"])
+    @pytest.mark.parametrize("preset", sorted(cli.PRESETS))
+    def test_every_preset_builds_at_paper_scale(self, command, preset):
+        ns = cli.make_parser().parse_args(
+            [command, "--preset", preset, "--paper-scale", "--out", "/tmp/x"]
+        )
+        keys = cli.CSI_KEYS if command == "csi" else cli.KEYS
+        assert cli.build_scenario(ns, keys).n_realizations == 10_000
+
     def test_paper_scale_flag(self):
         ns = cli.make_parser().parse_args(
             ["sweep", "--paper-scale", "--out", "/tmp/x"]
@@ -127,7 +147,7 @@ class TestCommands:
         )
         assert rc == 0
         csv_text = (out / "sweep.csv").read_text()
-        assert csv_text.splitlines()[0].split(",") == list(sim.CSV_COLUMNS)
+        assert csv_text.splitlines()[0].split(",") == ROW_COLUMNS
         doc = json.loads((out / "sweep.json").read_text())
         jsonschema.validate(doc, SCHEMA)
         assert len(doc["rows"]) == 4
@@ -159,7 +179,7 @@ class TestCommands:
         )
         assert rc == 0
         lines = (out / "sweep.csv").read_text().splitlines()
-        assert lines[0] == "csi_var," + ",".join(sim.CSV_COLUMNS)
+        assert lines[0] == "csi_var," + ",".join(ROW_COLUMNS)
         variances = {line.split(",")[0] for line in lines[1:]}
         assert variances == {"0", "0.001", "0.01"}
         ns = cli.make_parser().parse_args(
@@ -168,14 +188,20 @@ class TestCommands:
         scenario = cli.build_scenario(ns)
         expected = []
         for var in (0.0, 0.001, 0.01):
-            body = sim.imperfect_csi_sweep(
+            rows = sim.imperfect_csi_sweep(
                 dataclasses.replace(scenario, csi_error_var=var)
-            ).to_csv().splitlines()[1:]
-            expected += [f"{var:.17g},{line}" for line in body]
+            ).rows
+            # the row format of the CSV, written out field by field as the reference
+            expected += [
+                f"{var:.17g},{r.method},{r.snr_db:.17g},{r.ser:.17g},{r.ser_ci:.17g},"
+                f"{r.pe_analytic:.17g},{r.pe_bound:.17g},{r.sum_rate:.17g},"
+                f"{r.infeasible_frac:.17g}"
+                for r in rows
+            ]
         assert lines[1:] == expected
         doc = json.loads((out / "sweep.json").read_text())
         jsonschema.validate(doc, SCHEMA)
-        assert all(list(row)[-1] == "csi_var" for row in doc["rows"])
+        assert all(list(row) == [*ROW_COLUMNS, "csi_var"] for row in doc["rows"])
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["seed"] == 1
         assert manifest["outputs"] == [str(out / "sweep.csv"), str(out / "sweep.json")]
@@ -225,6 +251,31 @@ class TestCommands:
             ["sweep", "--threads", "2", *FAST_ARGS, "--out", "/tmp/x"]
         )
         assert cli._n_workers(ns) == 2
+
+
+class TestOutputFormat:
+    def test_schema_requires_the_dataclass_fields(self):
+        props = SCHEMA["properties"]
+        assert props["rows"]["items"]["required"] == ROW_COLUMNS
+        assert props["scenario"]["required"] == [
+            f.name for f in dataclasses.fields(sim.Scenario)
+        ]
+        assert props["scenario"]["properties"]["users"]["items"]["required"] == [
+            f.name for f in dataclasses.fields(modem.Constellation)
+        ]
+
+    @pytest.mark.parametrize("scenario, digest", [
+        (sim.Scenario(), "90040d8d5c389e2149eb85d0b5ff5565a8c533c23c6891b2148d9e842d510238"),
+        (sim.Scenario(n_antennas=3, users=(modem.unit_energy_pam(4),) * 2,
+                      snr_grid_db=(10.0, 20.0), n_realizations=8, n_symbols=200,
+                      csi_error_var=0.001, methods=(sim.ZF, sim.MMSE, sim.SMINR), seed=123),
+         "20ba73c4b438d540190fd078a1a3d3948eb4a77a17770cddfd1089a0fae1bd36"),
+    ], ids=["default", "small"])
+    def test_scenario_digest_is_pinned(self, tmp_path, scenario, digest):
+        # a change to the scenario text of sweep.json changes every digest
+        cli._write_outputs(tmp_path, scenario, [])
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["scenario_digest"] == digest
 
 
 class TestRefusals:
@@ -301,6 +352,22 @@ class TestRefusals:
         assert err.startswith("error: ")
         assert "Traceback" not in err
         assert not (out / "sweep.json").exists()
+
+    def test_working_set_over_the_cap_exits_2_before_sweeping(self, tmp_path, capsys,
+                                                               monkeypatch):
+        # by arithmetic, 10^9 symbols on four antennas need about 238 GiB, so
+        # the sweep must never start, not even when the cap is broken
+        def fail_run_sweep(*args, **kwargs):
+            raise AssertionError("run_sweep called")
+
+        monkeypatch.setattr(sim, "run_sweep", fail_run_sweep)
+        out = tmp_path / "run"
+        rc = cli.main(["sweep", "--symbols", "1000000000", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: the run would hold about")
+        assert err.count("\n") == 1
+        assert not list(out.glob("sweep.*"))
 
     def test_rate_with_one_antenna_exits_2_before_sweeping(self, tmp_path, capsys,
                                                            monkeypatch):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from beamsim import beamformers, channel, convex, modem, sim
+from beamsim import beamformers, channel, cli, convex, modem, sim
 
 
 def tiny_scenario(**kw):
@@ -38,9 +39,13 @@ class TestScenario:
         assert s.n_realizations == 10_000
         assert s.n_symbols == 1000
 
-    def test_dict_round_trip(self):
-        s = tiny_scenario()
-        assert sim.Scenario.from_dict(s.to_dict()) == s
+    def test_dict_round_trip(self, tmp_path):
+        # the scenario object of sweep.json rebuilds the scenario
+        s = tiny_scenario(csi_error_var=0.001)
+        cli._write_outputs(tmp_path, s, [])
+        d = json.loads((tmp_path / "sweep.json").read_text())["scenario"]
+        users = tuple(modem.Constellation(**u) for u in d.pop("users"))
+        assert sim.Scenario(**d, users=users) == s
 
     def test_rejects_unknown_method(self):
         with pytest.raises(ValueError):
@@ -55,6 +60,22 @@ class TestScenario:
     def test_rejects_what_the_schema_rules_out(self, bad):
         with pytest.raises(ValueError):
             tiny_scenario(**bad)
+
+    @pytest.mark.parametrize("kw", [
+        dict(n_antennas=4, n_symbols=10**9),  # the symbol block
+        dict(n_realizations=10**8),  # the stacked result arrays
+        dict(n_antennas=10**8, n_symbols=0),  # the channel
+    ])
+    def test_working_set_cap(self, kw):
+        with pytest.raises(ValueError, match="GiB, above the cap"):
+            tiny_scenario(**kw)
+
+    def test_working_set_counts_convex_tuple_rows(self):
+        # 2^19 tuple rows of 600 real coordinates: 2.3 GiB, held by a convex program only
+        kw = dict(n_antennas=300, users=(modem.unit_energy_pam(2),) * 20, n_symbols=0)
+        tiny_scenario(**kw, methods=(sim.ZF, sim.MMSE, sim.SMINR))
+        with pytest.raises(ValueError, match="GiB, above the cap"):
+            tiny_scenario(**kw, methods=(sim.ZF, sim.MPE_FULL))
 
     def test_zf_needs_as_many_antennas_as_users(self):
         with pytest.raises(ValueError, match="ZF needs n_antennas"):
@@ -130,12 +151,14 @@ class TestRunSweep:
         assert sim.run_sweep(s, n_workers=n_workers).rows == sim.run_sweep(s).rows
         assert sizes == ([expected] if expected > 1 else [])
 
-    def test_worker_count_does_not_change_qam_reference(self):
-        # QAM rows hold NaN, which never compares equal, so compare the CSV text
+    def test_worker_count_does_not_change_qam_reference(self, tmp_path):
+        # QAM rows hold NaN, which never compares equal, so compare the written files
         s = tiny_scenario(methods=(sim.ZF, sim.MMSE))
-        serial = sim.qam_reference_sweep(s, qam_order=16, n_workers=1)
-        parallel = sim.qam_reference_sweep(s, qam_order=16, n_workers=2)
-        assert serial.to_csv() == parallel.to_csv()
+        for n_workers in (1, 2):
+            result = sim.qam_reference_sweep(s, qam_order=16, n_workers=n_workers)
+            cli._write_outputs(tmp_path / str(n_workers), s, [result])
+        for name in ("sweep.csv", "sweep.json"):
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
 
     def test_row_grid(self):
         s = tiny_scenario()
@@ -274,7 +297,7 @@ class TestSolverMethods:
         monkeypatch.setattr(convex, "solve", recording)
         scenario = self.fig1_style(methods)
         sim.run_sweep(scenario)
-        first, second = (sim.SOLVER_KINDS[m] for m in methods if m != sim.SMINR_AMP)
+        first, second = (m for m in methods if m != sim.SMINR_AMP)
         assert all(start is None for kind, start, _ in solves if kind != second)
         firsts = [report for kind, _, report in solves if kind == first]
         starts = [start for kind, start, _ in solves if kind == second]
@@ -288,20 +311,26 @@ class TestSolverMethods:
 
 
 class TestOutputFormats:
-    def test_csv_columns(self):
+    def test_csv_columns(self, tmp_path):
         res = sim.run_sweep(tiny_scenario())
-        lines = res.to_csv().strip().splitlines()
-        assert lines[0].split(",") == list(sim.CSV_COLUMNS)
+        cli._write_outputs(tmp_path, res.scenario, [res])
+        lines = (tmp_path / "sweep.csv").read_text().strip().splitlines()
+        assert lines[0].split(",") == [f.name for f in dataclasses.fields(sim.SweepRow)]
         assert len(lines) == 1 + len(res.rows)
 
-    def test_json_is_valid_and_nan_free(self):
+    def test_json_is_valid_and_nan_free(self, tmp_path):
         res = sim.run_sweep(tiny_scenario(n_symbols=0))
-        rows = res.rows_as_dicts()
+        cli._write_outputs(tmp_path, res.scenario, [res])
+
+        def refuse(constant):
+            raise AssertionError(f"{constant} in sweep.json")
+
+        text = (tmp_path / "sweep.json").read_text()
+        rows = json.loads(text, parse_constant=refuse)["rows"]
         assert len(rows) == len(res.rows)
-        for row in rows:
+        for row, r in zip(rows, res.rows):
             assert row["ser"] is None and row["ser_ci"] is None  # NaN maps to null
-        doc = json.loads(json.dumps({"rows": rows}, allow_nan=False))
-        assert doc["rows"] == rows
+            assert row["pe_analytic"] == r.pe_analytic
 
     def test_series_is_snr_ordered(self):
         res = sim.run_sweep(tiny_scenario())
