@@ -1,31 +1,7 @@
-"""Minimum-error-probability and SMINR receive beamforming for PAM uplinks."""
+"""Minimum-error-probability and SMINR receive beamforming for PAM uplinks.
 
-from .modem import Constellation, InterfererTupleSet, decide, decide_block, \
-    draw_symbols, enumerate_interferers, unit_energy_pam
-from .channel import channel_from_json, channel_to_json, perturb_csi, \
-    received_signal, sample_channel
-from .analysis import error_floor, exact_pe, exact_pe_bruteforce, \
-    feasibility_margins, pe_upper_bound, q_function, sminr_amp, sminr_power
-from .beamformers import align_phase, lift_channel, lift_weights, \
-    max_eigvec_symmetric, mmse, sminr_closed_form, unlift_weights, zf
-from .convex import ConvexProgram, SolveReport, feasibility_phase, \
-    objective_and_gradient, solve
-from .sim import Scenario, SweepResult, imperfect_csi_sweep, \
-    qam_reference_sweep, run_sweep, sum_rate
+The library is reached through its modules: ``from beamsim import analysis,
+beamformers, channel, convex, modem, sim``.
+"""
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "Constellation", "InterfererTupleSet", "decide", "decide_block",
-    "draw_symbols", "enumerate_interferers", "unit_energy_pam",
-    "channel_from_json", "channel_to_json", "perturb_csi", "received_signal",
-    "sample_channel",
-    "error_floor", "exact_pe", "exact_pe_bruteforce", "feasibility_margins",
-    "pe_upper_bound", "q_function", "sminr_amp", "sminr_power",
-    "align_phase", "lift_channel", "lift_weights", "max_eigvec_symmetric",
-    "mmse", "sminr_closed_form", "unlift_weights", "zf",
-    "ConvexProgram", "SolveReport", "feasibility_phase",
-    "objective_and_gradient", "solve",
-    "Scenario", "SweepResult", "imperfect_csi_sweep", "qam_reference_sweep",
-    "run_sweep", "sum_rate",
-]

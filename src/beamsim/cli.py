@@ -20,6 +20,11 @@ class ConfigError(Exception):
     pass
 
 
+# steps by which a range's last point may pass its stop, for rounding in
+# (stop - start) / step: 0:0.1:0.3 has 4 points
+SNR_RANGE_TOL = 1e-9
+
+
 def _parse_snr(text: str):
     text = text.strip()
     try:
@@ -28,15 +33,15 @@ def _parse_snr(text: str):
             if len(parts) != 3:
                 raise ValueError
             start, step, stop = (float(p) for p in parts)
-            if step <= 0 or stop < start:
+            if not (0 < step < math.inf and start <= stop):  # also refuses nan
                 raise ValueError
             span = (stop - start) / step
-            if not span <= sim.MAX_SNR_POINTS - 1:  # also refuses inf and nan
+            n = math.floor(span + SNR_RANGE_TOL) + 1 if math.isfinite(span) else math.inf
+            if n > sim.MAX_SNR_POINTS:
                 raise ConfigError(
                     f"SNR range {text!r} is not a finite grid of at most "
                     f"{sim.MAX_SNR_POINTS} points"
                 )
-            n = int(round(span)) + 1
             return tuple(start + i * step for i in range(n))
         return tuple(float(p) for p in text.split(","))
     except ValueError:

@@ -35,7 +35,6 @@ then stops at the first model check, and its KKT residual is still
 certified against its own rows.
 """
 
-import csv
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -324,7 +323,7 @@ def _kkt_residual(program: ConvexProgram, w_bar: np.ndarray, grad: np.ndarray) -
     return float(resid)
 
 
-def solve(program: ConvexProgram, start: np.ndarray = None, trace_path: str = None,
+def solve(program: ConvexProgram, start: np.ndarray = None,
           feasible: Feasibility = None) -> SolveReport:
     """Solve one convex beamforming program.
 
@@ -335,9 +334,9 @@ def solve(program: ConvexProgram, start: np.ndarray = None, trace_path: str = No
     no weights, a nan KKT residual and the certified maximum as ``margin``;
     the caller decides on a fallback. SMINR_AMP is solved by the feasibility
     phase itself and reports its duality gap as ``kkt_residual``. The MPE
-    programs run ``_sphere_sqp``; their ``iterations`` count its steps and
-    ``trace_path`` gets one row per step. ``start`` optionally overrides the
-    MPE warm start with a lifted feasible point.
+    programs run ``_sphere_sqp``; their ``iterations`` count its steps.
+    ``start`` optionally overrides the MPE warm start with a lifted feasible
+    point.
     """
     feas = feasible if feasible is not None else _maximize_margin(program)
     if feas.w_bar is None:
@@ -345,7 +344,6 @@ def solve(program: ConvexProgram, start: np.ndarray = None, trace_path: str = No
                            feas.iterations, float("nan"), feas)
 
     if program.kind == SMINR_AMP:
-        _write_trace(trace_path, program, [])
         margin = program.reduced_margin(feas.w_bar)
         status = OPTIMAL if feas.gap <= TOL_KKT else MAX_ITER
         return SolveReport(unlift_weights(feas.w_bar), margin / program.noise_scale,
@@ -354,7 +352,6 @@ def solve(program: ConvexProgram, start: np.ndarray = None, trace_path: str = No
     w_bar, value, grad, trace = _sphere_sqp(
         program, np.asarray(start if start is not None else feas.w_bar, dtype=float)
     )
-    _write_trace(trace_path, program, trace)
     kkt = _kkt_residual(program, w_bar, grad)
     return SolveReport(
         weights=unlift_weights(w_bar),
@@ -366,12 +363,3 @@ def solve(program: ConvexProgram, start: np.ndarray = None, trace_path: str = No
         feasibility=feas,
     )
 
-
-def _write_trace(path, program, steps):
-    """Write one (iteration, objective, reduced margin) CSV row per SQP step."""
-    if path is None:
-        return
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "objective", "margin"])
-        writer.writerows((i, f, program.reduced_margin(w)) for i, f, w in steps)

@@ -74,7 +74,8 @@ class Scenario:
                 f"ZF needs n_antennas >= users, got {self.n_antennas} < {len(self.users)}"
             )
         orders = [c.order for c in self.users]
-        tuples = max(math.prod(orders) // order for order in orders)
+        tuple_counts = [math.prod(orders) // order for order in orders]
+        tuples = max(tuple_counts)
         if tuples > convex.MAX_FULL_TUPLES:
             raise ValueError(
                 f"{tuples} interferer tuples per user exceed the cap of "
@@ -86,6 +87,7 @@ class Scenario:
             16 * N * K  # the channel
             + (48 * N + 16 * K) * self.n_symbols  # one realization's symbol block
             + 32 * cells  # the four stacked result arrays
+            + 8 * (K - 1) * sum(tuple_counts)  # every user's interferer tuple set
             # one convex program's tuple rows
             + 16 * N * tuples * bool({MPE_FULL, MPE_REDUCED, SMINR_AMP} & set(self.methods))
         )
@@ -142,46 +144,6 @@ def _goodput(ser_per_user, bits) -> float:
     if np.any((ser < 0) | (ser > 1)):
         raise ValueError("SER values must lie in [0, 1]")
     return float(sum(b * (1.0 - s) for b, s in zip(bits, ser)))
-
-
-def _method_weights(method, H_csi, constellations, sigma_z, feasible, mpe_start):
-    """Per-user weights of one method from the available CSI.
-
-    Returns (weights list, infeasible flags); infeasible solver instances
-    fall back to MMSE weights. ``feasible`` maps a user to the feasibility
-    phase of its first solve on this H_csi and is filled on first use: the
-    phase depends on neither sigma_z nor the program kind. ``mpe_start``
-    maps a user to the lifted optimum of the MPE program solved first at
-    this sigma_z, which starts the other MPE kind: both have the same
-    objective and the same feasible set, hence the same optimum.
-    """
-    K = H_csi.shape[1]
-    energies = [c.average_energy for c in constellations]
-    weights, infeasible = [], []
-    for k in range(K):
-        flag = False
-        if method == ZF:
-            w = beamformers.zf(H_csi, k)
-        elif method == MMSE:
-            w = beamformers.mmse(H_csi, k, sigma_z, energies)
-        elif method == SMINR:
-            w = beamformers.sminr_closed_form(H_csi, k, constellations)
-        else:
-            program = convex.ConvexProgram(method, H_csi, k, tuple(constellations), sigma_z)
-            mpe = method in (MPE_FULL, MPE_REDUCED)
-            report = convex.solve(program, start=mpe_start.get(k) if mpe else None,
-                                  feasible=feasible.get(k))
-            feasible[k] = report.feasibility
-            if report.status == convex.INFEASIBLE:
-                w = beamformers.mmse(H_csi, k, sigma_z, energies)
-                flag = True
-            else:
-                w = report.weights
-                if mpe:
-                    mpe_start.setdefault(k, beamformers.lift_weights(w))
-        weights.append(w)
-        infeasible.append(flag)
-    return weights, infeasible
 
 
 def _draw_realization(scenario: Scenario, r_index: int):
@@ -261,9 +223,16 @@ def _sweep_rows(scenario: Scenario, labels, bits, errors, pe, bound, infeas) -> 
 
 
 def _run_realization(scenario: Scenario, r_index: int, tuple_sets):
-    """All per-realization statistics, deterministic in (seed, r_index)."""
+    """All per-realization statistics, deterministic in (seed, r_index).
+
+    One cell is a (SNR point, method, user): its weight, from the estimate
+    H_csi, is scored on the true H by the exact Pe and the bound and, with
+    Monte-Carlo symbols, by its symbol errors. A convex instance without a
+    positive margin falls back to MMSE weights and counts as infeasible.
+    """
+    users, K = scenario.users, len(scenario.users)
     H, H_csi, rng_sym, rng_noise = _draw_realization(scenario, r_index)
-    shape = (len(scenario.methods), len(scenario.snr_grid_db), len(scenario.users))
+    shape = (len(scenario.methods), len(scenario.snr_grid_db), K)
     errors = np.zeros(shape, dtype=np.int64)
     pe = np.zeros(shape)
     bound = np.zeros(shape)
@@ -271,34 +240,49 @@ def _run_realization(scenario: Scenario, r_index: int, tuple_sets):
 
     n_sym = scenario.n_symbols
     if n_sym > 0:
-        indices, values = modem.draw_symbols(scenario.users, rng_sym, size=n_sym)
+        indices, values = modem.draw_symbols(users, rng_sym, size=n_sym)
         clean = H @ values
         noise = rng_noise.standard_normal(clean.shape) + 1j * rng_noise.standard_normal(clean.shape)
 
-    feasible = {}
+    energies = [c.average_energy for c in users]
+    # user k's feasibility phase, from its first solve on this H_csi: it
+    # depends on neither sigma_z nor the program kind
+    feasible = [None] * K
     for si, snr_db in enumerate(scenario.snr_grid_db):
         sigma_z = snr_db_to_sigma(snr_db)
         if n_sym > 0:
             r_block = clean + sigma_z / np.sqrt(2.0) * noise
-        mpe_start = {}
+        # user k's lifted optimum of the MPE program solved first at this
+        # sigma_z starts the other MPE kind: both have the same objective and
+        # the same feasible set, hence the same optimum
+        mpe_start = [None] * K
         for mi, method in enumerate(scenario.methods):
-            weights, flags = _method_weights(method, H_csi, scenario.users, sigma_z,
-                                             feasible, mpe_start)
-            for k, w in enumerate(weights):
-                infeas[mi, si, k] = int(flags[k])
-                pe[mi, si, k] = analysis.exact_pe(
-                    w, H, k, scenario.users, sigma_z, tuple_sets[k]
-                )
-                bound[mi, si, k] = analysis.pe_upper_bound(
-                    w, H, k, scenario.users, sigma_z
-                )
+            mpe = method in (MPE_FULL, MPE_REDUCED)
+            for k in range(K):
+                if method == ZF:
+                    w = beamformers.zf(H_csi, k)
+                elif method == MMSE:
+                    w = beamformers.mmse(H_csi, k, sigma_z, energies)
+                elif method == SMINR:
+                    w = beamformers.sminr_closed_form(H_csi, k, users)
+                else:
+                    report = convex.solve(
+                        convex.ConvexProgram(method, H_csi, k, users, sigma_z),
+                        start=mpe_start[k] if mpe else None, feasible=feasible[k],
+                    )
+                    feasible[k] = report.feasibility
+                    if report.status == convex.INFEASIBLE:
+                        w = beamformers.mmse(H_csi, k, sigma_z, energies)
+                        infeas[mi, si, k] = 1
+                    else:
+                        w = report.weights
+                        if mpe and mpe_start[k] is None:
+                            mpe_start[k] = beamformers.lift_weights(w)
+                pe[mi, si, k] = analysis.exact_pe(w, H, k, users, sigma_z, tuple_sets[k])
+                bound[mi, si, k] = analysis.pe_upper_bound(w, H, k, users, sigma_z)
                 if n_sym > 0:
-                    gain = (w @ H_csi[:, k]).real * math.sqrt(
-                        scenario.users[k].pulse_energy
-                    )
-                    decisions = modem.decide_block(
-                        (w @ r_block).real, gain, scenario.users[k]
-                    )
+                    gain = (w @ H_csi[:, k]).real * math.sqrt(users[k].pulse_energy)
+                    decisions = modem.decide_block((w @ r_block).real, gain, users[k])
                     errors[mi, si, k] = int(np.count_nonzero(decisions != indices[k]))
     return errors, pe, bound, infeas
 

@@ -1,6 +1,7 @@
 import argparse
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -41,6 +42,14 @@ FAST_ARGS = [
 class TestParsing:
     def test_snr_range(self):
         assert cli._parse_snr("0:5:20") == (0.0, 5.0, 10.0, 15.0, 20.0)
+
+    def test_snr_range_stops_at_or_below_stop(self):
+        assert cli._parse_snr("0:5:43") == (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0)
+        assert len(cli._parse_snr("0:0.1:0.3")) == 4
+
+    def test_preset_snr_grids(self):
+        assert cli._parse_snr(cli.PRESETS["fig4"]["snr"]) == tuple(map(float, range(0, 55, 5)))
+        assert cli._parse_snr(cli.PRESETS["fig5"]["snr"]) == tuple(map(float, range(0, 50, 5)))
 
     def test_snr_list(self):
         assert cli._parse_snr("3,7.5,12") == (3.0, 7.5, 12.0)
@@ -355,19 +364,26 @@ class TestRefusals:
 
     def test_working_set_over_the_cap_exits_2_before_sweeping(self, tmp_path, capsys,
                                                                monkeypatch):
-        # by arithmetic, 10^9 symbols on four antennas need about 238 GiB, so
-        # the sweep must never start, not even when the cap is broken
+        # by arithmetic, 10^9 symbols on four antennas need about 238 GiB, and
+        # 20 users' interferer tuple sets (1.48 GiB) with the result arrays
+        # (0.6 GiB) about 2.08 GiB, so the sweep must never start, not even
+        # when the cap is broken
         def fail_run_sweep(*args, **kwargs):
             raise AssertionError("run_sweep called")
 
         monkeypatch.setattr(sim, "run_sweep", fail_run_sweep)
-        out = tmp_path / "run"
-        rc = cli.main(["sweep", "--symbols", "1000000000", "--out", str(out)])
-        err = capsys.readouterr().err
-        assert rc == 2
-        assert err.startswith("error: the run would hold about")
-        assert err.count("\n") == 1
-        assert not list(out.glob("sweep.*"))
+        for i, args in enumerate([
+            ["--symbols", "1000000000"],
+            ["--users", "20x2pam", "--antennas", "20", "--methods", "ZF", "--symbols", "0",
+             "--snr", "0:1:99", "--realizations", "10000"],
+        ]):
+            out = tmp_path / f"run{i}"
+            rc = cli.main(["sweep", *args, "--out", str(out)])
+            err = capsys.readouterr().err
+            assert rc == 2
+            assert err.startswith("error: the run would hold about")
+            assert err.count("\n") == 1
+            assert not list(out.glob("sweep.*"))
 
     def test_rate_with_one_antenna_exits_2_before_sweeping(self, tmp_path, capsys,
                                                            monkeypatch):
@@ -417,6 +433,18 @@ class TestSpecProperties:
     @given(snr=SNR_TEXT)
     def test_snr_spec(self, snr):
         self._build(snr, "2x4pam")
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(spec=st.lists(NUMBER_TEXT, min_size=3, max_size=3))
+    def test_snr_range_ends_by_stop(self, spec):
+        try:
+            grid = cli._parse_snr(":".join(spec))
+        except cli.ConfigError:
+            return
+        start, step, stop = map(float, spec)
+        # the tolerance plus the rounding of (stop - start) / step and of each point
+        slack = cli.SNR_RANGE_TOL * step + 4 * math.ulp(max(abs(start), abs(stop)))
+        assert all(p <= stop + slack for p in grid)
 
     @settings(max_examples=200, deadline=None, database=None)
     @given(users=USERS_TEXT)

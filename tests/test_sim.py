@@ -65,6 +65,9 @@ class TestScenario:
         dict(n_antennas=4, n_symbols=10**9),  # the symbol block
         dict(n_realizations=10**8),  # the stacked result arrays
         dict(n_antennas=10**8, n_symbols=0),  # the channel
+        # 1.48 GiB of interferer tuple sets and 0.6 GiB of result arrays
+        dict(n_antennas=20, users=(modem.unit_energy_pam(2),) * 20, methods=(sim.ZF,),
+             snr_grid_db=tuple(range(100)), n_realizations=10_000, n_symbols=0),
     ])
     def test_working_set_cap(self, kw):
         with pytest.raises(ValueError, match="GiB, above the cap"):
@@ -218,6 +221,46 @@ class TestRunSweep:
         res = sim.run_sweep(s)
         for row in res.rows:
             assert row.pe_bound >= row.pe_analytic - 1e-14
+
+
+# (method, snr_db, symbol errors, pe_analytic, pe_bound, infeasible_frac) of
+# the sweep in test_engine_matches_frozen_rows, computed by the engine with a
+# separate weight pass and scoring pass per method; a rework of the engine
+# keeps them by the rules of perfbench/outcheck.py
+FROZEN_ROWS = [
+    ("ZF", 5.0, 470, 0.2617967407476385, 0.2617967407476388, 0.0),
+    ("ZF", 20.0, 0, 8.214798347291132e-05, 8.214798347291493e-05, 0.0),
+    ("MMSE", 5.0, 384, 0.20849120133197563, 0.5013126451293994, 0.0),
+    ("MMSE", 20.0, 0, 7.351097604776363e-05, 0.00013327618276196546, 0.0),
+    ("MPE_FULL", 5.0, 253, 0.14122445994638688, 0.2151429081195181, 0.0),
+    ("MPE_FULL", 20.0, 0, 5.530448831794036e-06, 6.9467898768814185e-06, 0.0),
+    ("MPE_REDUCED", 5.0, 253, 0.14122445994638685, 0.2151429081195181, 0.0),
+    ("MPE_REDUCED", 20.0, 0, 5.530448831794036e-06, 6.9467898768814185e-06, 0.0),
+    ("SMINR_AMP", 5.0, 260, 0.14640781362951777, 0.14640781362951805, 0.0),
+    ("SMINR_AMP", 20.0, 0, 5.571863691708407e-06, 5.571863691708534e-06, 0.0),
+    ("SMINR", 5.0, 251, 0.14160480835337919, 0.2075839562836679, 0.0),
+    ("SMINR", 20.0, 0, 8.064434423745357e-06, 3.370170883578828e-05, 0.0),
+]
+
+
+def test_engine_matches_frozen_rows():
+    # closed-form rows keep their error counts and analytic values, the solver
+    # rows may only improve what they optimize, and every row keeps its
+    # infeasible fraction
+    s = tiny_scenario(users=(modem.unit_energy_pam(4),) * 3, snr_grid_db=(5.0, 20.0),
+                      n_realizations=3, n_symbols=200, methods=sim.ALL_METHODS, seed=7)
+    rows = sim.run_sweep(s).rows
+    assert [(r.method, r.snr_db) for r in rows] == [ref[:2] for ref in FROZEN_ROWS]
+    for r, (method, _, errors, pe, bound, infeasible) in zip(rows, FROZEN_ROWS):
+        assert r.infeasible_frac == infeasible
+        if method in (sim.ZF, sim.MMSE, sim.SMINR):
+            assert round(r.ser * 3 * 200 * 3) == errors
+            assert r.pe_analytic == pytest.approx(pe, rel=1e-12, abs=0)
+            assert r.pe_bound == pytest.approx(bound, rel=1e-12, abs=0)
+        elif method == sim.SMINR_AMP:
+            assert r.pe_bound <= bound * (1 + 1e-6)
+        else:
+            assert r.pe_analytic <= pe * (1 + 1e-6)
 
 
 class TestSolverMethods:
