@@ -12,10 +12,12 @@ from scipy.special import erfc
 from .channel import received_signal
 from .modem import InterfererTupleSet, decide_block, draw_symbols, enumerate_interferers
 
+_SQRT2 = np.sqrt(2.0)
+
 
 def q_function(x):
     """Gaussian tail probability Q(x), evaluated via erfc for stability."""
-    return 0.5 * erfc(np.asarray(x, dtype=float) / np.sqrt(2.0))
+    return 0.5 * erfc(np.asarray(x, dtype=float) / _SQRT2)
 
 
 def _check_weights(w: np.ndarray) -> float:
@@ -40,14 +42,10 @@ def _gains(w, H, k, constellations, tuple_set: InterfererTupleSet = None):
     return norm, self_term, gains[list(tuple_set.users)].real, tuple_set
 
 
-def _peak_gains(cross, tuple_set, constellations) -> np.ndarray:
-    """u_j = Re{w h_j} s_j(L_j): each interferer's gain at its peak symbol."""
-    return cross * np.array([constellations[j].max_symbol for j in tuple_set.users])
-
-
-def _reduced_margin(self_term, cross, tuple_set, constellations) -> float:
-    """Self term minus the worst-case interference sum_j |u_j|."""
-    return self_term - float(np.sum(np.abs(_peak_gains(cross, tuple_set, constellations))))
+def _reduced_margin(self_term, cross, tuple_set) -> float:
+    """Self term minus the worst-case interference sum_j |u_j|, where
+    u_j = Re{w h_j} s_j(L_j) is interferer j's gain at its peak symbol."""
+    return self_term - float(np.sum(np.abs(cross * tuple_set.peaks)))
 
 
 def pe_arguments(
@@ -65,7 +63,7 @@ def pe_arguments(
     norm, self_term, cross, tuple_set = _gains(w, H, k, constellations, tuple_set)
     if sigma_z <= 0:
         raise ValueError("sigma_z must be positive")
-    return (self_term - tuple_set.tuples @ cross) / (sigma_z / np.sqrt(2.0) * norm)
+    return (self_term - tuple_set.tuples @ cross) / (sigma_z / _SQRT2 * norm)
 
 
 def exact_pe(
@@ -136,7 +134,7 @@ def feasibility_margins(
     """
     _, self_term, cross, tuple_set = _gains(w, H, k, constellations, tuple_set)
     full = self_term - tuple_set.tuples @ cross
-    return full, _reduced_margin(self_term, cross, tuple_set, constellations)
+    return full, _reduced_margin(self_term, cross, tuple_set)
 
 
 def pe_upper_bound(
@@ -152,8 +150,7 @@ def pe_upper_bound(
     if sigma_z <= 0:
         raise ValueError("sigma_z must be positive")
     L = constellations[k].order
-    arg = _reduced_margin(self_term, cross, tuple_set, constellations) / (
-        sigma_z / np.sqrt(2.0) * norm)
+    arg = _reduced_margin(self_term, cross, tuple_set) / (sigma_z / _SQRT2 * norm)
     return 2.0 * (L - 1) / L * float(q_function(arg))
 
 
@@ -166,7 +163,7 @@ def sminr_amp(
     metric is defined for (and maximized over) the unit ball.
     """
     _, self_term, cross, tuple_set = _gains(w, H, k, constellations)
-    return _reduced_margin(self_term, cross, tuple_set, constellations) / (sigma_z / np.sqrt(2.0))
+    return _reduced_margin(self_term, cross, tuple_set) / (sigma_z / _SQRT2)
 
 
 def sminr_power(
@@ -174,7 +171,7 @@ def sminr_power(
 ) -> float:
     """Power-based SMINR; may be negative when interference dominates."""
     _, self_term, cross, tuple_set = _gains(w, H, k, constellations)
-    peak = _peak_gains(cross, tuple_set, constellations)
+    peak = cross * tuple_set.peaks
     return (self_term**2 - float(peak @ peak)) / (sigma_z**2 / 2.0)
 
 

@@ -38,15 +38,17 @@ def align_phase(w: np.ndarray, h_k: np.ndarray) -> np.ndarray:
 def zf(H: np.ndarray, k: int) -> np.ndarray:
     """Zero-forcing beamformer: row k of the pseudo-inverse, unit norm, aligned.
 
-    Raises on (numerically) rank-deficient H.
+    One SVD gives the rank check and the pseudo-inverse, formed as
+    ``np.linalg.pinv`` forms it. Raises on (numerically) rank-deficient H.
     """
     N, K = H.shape
     if N < K:
         raise np.linalg.LinAlgError(f"zero-forcing needs N >= K, got N={N}, K={K}")
-    sv = np.linalg.svd(H, compute_uv=False)
-    if sv[-1] <= 1e-12 * sv[0]:
+    u, s, vt = np.linalg.svd(H.conj(), full_matrices=False)
+    if s[-1] <= 1e-12 * s[0]:
         raise np.linalg.LinAlgError("channel matrix is rank-deficient")
-    w = np.linalg.pinv(H)[k]
+    # the rank check leaves every s above pinv's 1e-15 s[0] cutoff: pinv's product
+    w = (vt.T @ ((1 / s)[:, None] * u.T))[k]
     w = align_phase(w, H[:, k])
     return w / np.linalg.norm(w)
 
@@ -95,14 +97,12 @@ def sminr_quadratic_form(H: np.ndarray, k: int, constellations) -> np.ndarray:
 
     M = d^2 E_g htilde_k htilde_k^T - sum_{j != k} s_j(L_j)^2 htilde_j htilde_j^T.
     """
-    c_k = constellations[k]
-    hk = lift_channel(H[:, k])
-    M = c_k.step**2 * np.outer(hk, hk)
+    # column j is lift_channel(H[:, j])
+    lifted = np.concatenate([H.real, -H.imag])
+    M = constellations[k].step**2 * np.outer(lifted[:, k], lifted[:, k])
     for j in range(H.shape[1]):
-        if j == k:
-            continue
-        hj = lift_channel(H[:, j])
-        M -= constellations[j].max_symbol ** 2 * np.outer(hj, hj)
+        if j != k:
+            M -= constellations[j].max_symbol ** 2 * np.outer(lifted[:, j], lifted[:, j])
     return M
 
 

@@ -89,16 +89,14 @@ class ConvexProgram:
             raise ValueError(f"unknown program kind {self.kind!r}")
         if self.sigma_z <= 0:
             raise ValueError("sigma_z must be positive")
-        K = self.H.shape[1]
         k = self.user
         # column j is lift_channel(H[:, j])
         lifted = np.concatenate([self.H.real, -self.H.imag])
         self.a = self.constellations[k].step * lifted[:, k]
-        others = [j for j in range(K) if j != k]
-        peaks = np.array([self.constellations[j].max_symbol for j in others])
-        self.U = peaks[:, None] * lifted[:, others].T
-
         tuple_set = enumerate_interferers(self.constellations, k)
+        others = list(tuple_set.users)
+        self.U = tuple_set.peaks[:, None] * lifted[:, others].T
+
         if self.kind == MPE_FULL and tuple_set.count > MAX_FULL_TUPLES:
             raise ValueError(
                 f"{tuple_set.count} tuples exceed the MPE_FULL cap; use MPE_REDUCED"
@@ -110,7 +108,7 @@ class ConvexProgram:
         else:
             # the 2^(K-1) rows with every interferer at a peak symbol; their
             # minimum is the reduced margin
-            extreme = np.all(np.abs(tuple_set.tuples) == peaks, axis=1)
+            extreme = np.all(np.abs(tuple_set.tuples) == tuple_set.peaks, axis=1)
             self.G_constraints = self.G_objective[extreme]
         L = self.constellations[k].order
         self.prefactor = 2.0 * (L - 1) / (L * self.G_objective.shape[0])

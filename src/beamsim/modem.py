@@ -76,47 +76,42 @@ def unit_energy_pam(order: int) -> Constellation:
 
 
 def decide(y_real: float, gain: float, c: Constellation) -> int:
-    """Threshold decision for one real beamformer output sample.
+    """:func:`decide_block` for one real beamformer output sample, as an int."""
+    return int(decide_block(y_real, gain, c))
 
-    ``gain`` is the per-unit-amplitude effective gain Re{w h} sqrt(E_g); the
-    decision intervals are evaluated literally, so a nonpositive gain yields
-    degenerate (but well-defined) decisions rather than an error.
-    Returns the 1-based constellation index.
-    """
-    amps = c.amplitudes()
-    d = c.half_spacing
-    L = c.order
-    if y_real <= gain * (amps[0] + d):
-        return 1
-    for l in range(2, L):
-        lo = gain * (amps[l - 1] - d)
-        hi = gain * (amps[l - 1] + d)
-        if lo < y_real <= hi:
-            return l
-    return L
+
+@functools.lru_cache(maxsize=64)
+def _threshold_offsets(c: Constellation) -> np.ndarray:
+    """The L - 1 decision thresholds a_l + d at unit gain, read-only."""
+    offsets = c.amplitudes()[:-1] + c.half_spacing
+    offsets.setflags(write=False)
+    return offsets
 
 
 def decide_block(y_real: np.ndarray, gain: float, c: Constellation) -> np.ndarray:
-    """Vectorized ``decide``. Returns 1-based indices."""
+    """1-based decisions for real outputs of any shape, at gain Re{w h} sqrt(E_g).
+
+    A sample on a threshold gain (a_l + d) goes to the lower point and NaN to
+    L. A gain <= 0 empties every middle interval, so samples go to 1 or L.
+    """
+    offsets = _threshold_offsets(c)
     if gain <= 0:
-        # every middle interval (gain (a - d), gain (a + d)] is empty
-        return np.where(np.asarray(y_real) <= gain * (c.amplitudes()[0] + c.half_spacing),
-                        1, c.order)
-    thresholds = gain * (c.amplitudes()[:-1] + c.half_spacing)
-    # side='left' assigns boundary samples to the lower bin (the "<=" branch)
-    return np.searchsorted(thresholds, y_real, side="left") + 1
+        return np.where(np.asarray(y_real) <= gain * offsets[0], 1, c.order)
+    # a branch-free count: no binary search to mispredict on fresh noise
+    return c.order - np.count_nonzero(np.greater_equal.outer(gain * offsets, y_real), axis=0)
 
 
 @dataclass(frozen=True)
 class InterfererTupleSet:
     """All symbol-value tuples of the K-1 interferers of one user.
 
-    ``users`` holds the 0-based indices j != k in ascending order; ``tuples``
-    has shape (count, K-1) with column order matching ``users``.
+    ``users`` holds the 0-based j != k in ascending order, the column order
+    of ``tuples`` (count, K-1) and of ``peaks``, the largest symbols s_j(L_j).
     """
 
     users: tuple
     tuples: np.ndarray
+    peaks: np.ndarray
 
     @property
     def count(self) -> int:
@@ -128,8 +123,8 @@ def enumerate_interferers(constellations, k: int) -> InterfererTupleSet:
 
     User indices ascend across columns and the amplitude index of the largest
     j varies fastest, giving a deterministic ordering. Results are memoized
-    on (constellations, k) and shared between callers, so ``tuples`` is
-    read-only.
+    on (constellations, k) and shared between callers, so ``tuples`` and
+    ``peaks`` are read-only.
     """
     n_users = len(constellations)
     if not 0 <= k < n_users:
@@ -143,8 +138,10 @@ def _enumerate_interferers(constellations: tuple, k: int) -> InterfererTupleSet:
     # with no interferers the product holds one empty tuple: shape (1, 0)
     tuples = np.array(list(itertools.product(
         *(constellations[j].symbol_values() for j in others))), dtype=float)
+    peaks = np.array([constellations[j].max_symbol for j in others])
     tuples.setflags(write=False)
-    return InterfererTupleSet(users=others, tuples=tuples)
+    peaks.setflags(write=False)
+    return InterfererTupleSet(users=others, tuples=tuples, peaks=peaks)
 
 
 def draw_symbols(constellations, rng: np.random.Generator, size: int = None):

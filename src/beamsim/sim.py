@@ -163,17 +163,25 @@ def _map_realizations(fn, scenario: Scenario, n_workers: int, *args):
     processes and stack its (errors, pe, bound, infeas) arrays in realization
     order, so the result is bit-identical for any worker count. The pool
     starts all its processes at once, so it gets no more of them than there
-    are realizations or cores."""
+    are realizations or cores. Each worker gets fn, scenario and args once."""
     n_real = scenario.n_realizations
     n_workers = min(n_workers or 1, n_real, os.cpu_count() or 1)
     if n_workers > 1:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            return _stack(n_real, pool.map(
-                fn, [scenario] * n_real, range(n_real),
-                *([arg] * n_real for arg in args),
-                chunksize=max(1, n_real // (8 * n_workers)),
-            ))
+        with ProcessPoolExecutor(max_workers=n_workers, initializer=_start_worker,
+                                 initargs=(fn, scenario, args)) as pool:
+            return _stack(n_real, pool.map(_run_in_worker, range(n_real),
+                                           chunksize=max(1, n_real // (8 * n_workers))))
     return _stack(n_real, (fn(scenario, r, *args) for r in range(n_real)))
+
+
+def _start_worker(*task) -> None:
+    global _worker_task  # this worker's (fn, scenario, args)
+    _worker_task = task
+
+
+def _run_in_worker(r_index: int):
+    fn, scenario, args = _worker_task
+    return fn(scenario, r_index, *args)
 
 
 def _stack(n_real: int, results) -> list:

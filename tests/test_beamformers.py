@@ -81,6 +81,27 @@ class TestZf:
         H = np.column_stack([h, 2 * h])
         with pytest.raises(np.linalg.LinAlgError):
             beamformers.zf(H, 0)
+        H = channel.sample_channel(6, 4, np.random.default_rng(12))
+        H[:, 3] = H[:, 0] - 0.5j * H[:, 1]
+        for k in range(4):
+            with pytest.raises(np.linalg.LinAlgError):
+                beamformers.zf(H, k)
+
+    @pytest.mark.parametrize("n_antennas,n_users", [(4, 4), (6, 4), (3, 2)])
+    def test_bit_identical_to_svd_check_and_pinv(self, n_antennas, n_users):
+        def reference(H, k):
+            # rank check on one SVD, then np.linalg.pinv, which takes another
+            sv = np.linalg.svd(H, compute_uv=False)
+            if sv[-1] <= 1e-12 * sv[0]:
+                raise np.linalg.LinAlgError("channel matrix is rank-deficient")
+            w = beamformers.align_phase(np.linalg.pinv(H)[k], H[:, k])
+            return w / np.linalg.norm(w)
+
+        rng = np.random.default_rng(100 * n_antennas + n_users)
+        for _ in range(200):
+            H = channel.sample_channel(n_antennas, n_users, rng)
+            for k in range(n_users):
+                assert np.array_equal(beamformers.zf(H, k), reference(H, k))
 
 
 class TestMmse:
@@ -135,6 +156,26 @@ class TestMaxEigvec:
 
 
 class TestSminrClosedForm:
+    def test_quadratic_form_bit_identical_to_per_user_lift(self):
+        def reference(H, k, cs):
+            hk = beamformers.lift_channel(H[:, k])
+            M = cs[k].step**2 * np.outer(hk, hk)
+            for j in range(H.shape[1]):
+                if j == k:
+                    continue
+                hj = beamformers.lift_channel(H[:, j])
+                M -= cs[j].max_symbol ** 2 * np.outer(hj, hj)
+            return M
+
+        rng = np.random.default_rng(13)
+        cs = [modem.unit_energy_pam(L) for L in (2, 4, 8, 3)]
+        for _ in range(50):
+            for n_users in (1, 2, 4):
+                H = channel.sample_channel(4, n_users, rng)
+                for k in range(n_users):
+                    assert np.array_equal(beamformers.sminr_quadratic_form(H, k, cs),
+                                          reference(H, k, cs))
+
     def test_is_top_eigenvector_of_quadratic_form(self):
         rng = np.random.default_rng(9)
         cs = [modem.unit_energy_pam(8)] * 3

@@ -52,6 +52,13 @@ class TestConstellation:
             modem.unit_energy_pam(1)
 
 
+def _with_neighbours(values):
+    """Each value with its two floating-point neighbours."""
+    values = np.asarray(values, dtype=float)
+    return np.concatenate([np.nextafter(values, -np.inf), values,
+                           np.nextafter(values, np.inf)])
+
+
 class TestDecide:
     def test_bpsk_sign_detector(self):
         c = modem.Constellation(2, 1.0, 1.0)
@@ -94,13 +101,52 @@ class TestDecide:
 
     def test_decide_block_matches_scalar(self):
         rng = np.random.default_rng(0)
-        y = np.concatenate([rng.standard_normal(500) * 2, [0.0, np.nan, np.inf, -np.inf]])
-        for order in (2, 3, 4, 8):
+        for order in (2, 3, 4, 8, 16):
             c = modem.unit_energy_pam(order)
-            for gain in (0.5, 2.0, -1.0, 0.0):
+            for gain in (0.5, 2.0, 0.3, -1.0, 0.0):
+                thresholds = gain * (c.amplitudes()[:-1] + c.half_spacing)
+                y = np.concatenate([rng.standard_normal(500) * 2,
+                                    [0.0, np.nan, np.inf, -np.inf],
+                                    _with_neighbours(thresholds)])
                 block = modem.decide_block(y, gain, c)
                 scalar = [modem.decide(float(v), gain, c) for v in y]
                 assert np.array_equal(block, scalar)
+
+    def test_threshold_neighbours_do_not_fall_through_to_top(self):
+        # g (a - d) and g (a + d) of neighbouring points round one ulp apart;
+        # a sample between them belongs to the lower point, not to L
+        assert modem.decide(-0.2683281572999747, 0.3, modem.unit_energy_pam(4)) == 2
+
+    @pytest.mark.parametrize("order", [2, 3, 4, 8, 16])
+    @pytest.mark.parametrize("gain", [0.3, 1.0, 1.7])
+    def test_decisions_never_decrease_in_y(self, order, gain):
+        c = modem.unit_energy_pam(order)
+        thresholds = gain * (c.amplitudes()[:-1] + c.half_spacing)
+        y = np.sort(np.concatenate([np.linspace(-3 * gain, 3 * gain, 301),
+                                    _with_neighbours(thresholds), [-np.inf, np.inf]]))
+        decisions = [modem.decide(float(v), gain, c) for v in y]
+        assert np.all(np.diff(decisions) >= 0)
+        assert np.all(np.diff(modem.decide_block(y, gain, c)) >= 0)
+        assert decisions[0] == 1 and decisions[-1] == order
+
+    @pytest.mark.parametrize("order", [2, 3, 4, 8, 16])
+    @pytest.mark.parametrize("gain", [1e-300, 0.3, 1.0, 2.5, 1e300])
+    def test_decide_block_bit_identical_to_searchsorted(self, order, gain):
+        c = modem.unit_energy_pam(order)
+        thresholds = gain * (c.amplitudes()[:-1] + c.half_spacing)
+        y = np.concatenate([_with_neighbours(thresholds),
+                            [np.nan, np.inf, -np.inf, 0.0, -0.0]])
+        for sample in (y, y.reshape(1, -1), np.tile(y, (3, 1)).T, y[:, None, None]):
+            got = modem.decide_block(sample, gain, c)
+            expected = np.searchsorted(thresholds, sample, side="left") + 1
+            assert got.shape == sample.shape
+            assert got.dtype == expected.dtype
+            assert np.array_equal(got, expected)
+        for v in y:
+            got = modem.decide_block(np.float64(v), gain, c)
+            assert np.ndim(got) == 0
+            assert got == np.searchsorted(thresholds, v, side="left") + 1
+            assert modem.decide_block(float(v), gain, c) == got
 
 
 class TestInterfererTuples:
@@ -133,6 +179,18 @@ class TestInterfererTuples:
         ts = modem.enumerate_interferers([modem.unit_energy_pam(4)] * 3, 0)
         with pytest.raises(ValueError):
             ts.tuples[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            ts.peaks[0] = 0.0
+
+    def test_peaks_are_the_interferers_largest_symbols(self):
+        cs = [modem.unit_energy_pam(L) for L in (2, 3, 4, 8)]
+        cs.append(modem.Constellation(4, 0.7, 2.0))
+        for users in (cs[:1], cs[:2], cs):
+            for k in range(len(users)):
+                ts = modem.enumerate_interferers(users, k)
+                expected = np.array([c.max_symbol for j, c in enumerate(users) if j != k])
+                assert np.array_equal(ts.peaks, expected)
+                assert ts.peaks.shape == (len(users) - 1,)
 
     def test_list_and_tuple_inputs_agree(self):
         cs = [modem.unit_energy_pam(L) for L in (2, 3, 4)]

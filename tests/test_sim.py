@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -136,8 +137,10 @@ class TestRunSweep:
         sizes = []
 
         class SerialPool:
-            def __init__(self, max_workers):
+            # one in-process worker, started as the pool starts each worker
+            def __init__(self, max_workers, initializer, initargs):
                 sizes.append(max_workers)
+                initializer(*initargs)
 
             def __enter__(self):
                 return self
@@ -153,6 +156,32 @@ class TestRunSweep:
         s = tiny_scenario()
         assert sim.run_sweep(s, n_workers=n_workers).rows == sim.run_sweep(s).rows
         assert sizes == ([expected] if expected > 1 else [])
+
+    def test_tasks_carry_only_the_realization_index(self, monkeypatch):
+        # the tuple sets go to each worker once, when it starts, not with every task
+        started, tasks = [], []
+
+        class RecordingPool:
+            def __init__(self, max_workers, initializer, initargs):
+                started.append(pickle.dumps(initargs))
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                tasks.extend(pickle.dumps(items) for items in zip(*iterables))
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(sim, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(sim.os, "cpu_count", lambda: 2)
+        s = tiny_scenario()
+        assert sim.run_sweep(s, n_workers=2).rows == sim.run_sweep(s).rows
+        assert len(started) == 1 and len(tasks) == s.n_realizations
+        assert tasks == [pickle.dumps((r,)) for r in range(s.n_realizations)]
 
     def test_worker_count_does_not_change_qam_reference(self, tmp_path):
         # QAM rows hold NaN, which never compares equal, so compare the written files
