@@ -9,8 +9,7 @@ one for weight vectors violating the nonnegative-margin constraints.
 import numpy as np
 from scipy.special import erfc
 
-from .channel import received_signal
-from .modem import InterfererTupleSet, decide_block, draw_symbols, enumerate_interferers
+from .modem import InterfererTupleSet, enumerate_interferers
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -81,42 +80,6 @@ def exact_pe(
     args = pe_arguments(w, H, k, constellations, sigma_z, tuple_set)
     L = constellations[k].order
     return 2.0 * (L - 1) / (L * args.size) * float(np.sum(q_function(args)))
-
-
-def exact_pe_bruteforce(
-    w: np.ndarray,
-    H: np.ndarray,
-    k: int,
-    constellations,
-    sigma_z: float,
-    n_mc: int,
-    rng: np.random.Generator,
-    block: int = 100_000,
-):
-    """Monte-Carlo estimate of user k's symbol error probability.
-
-    Draws all-user symbols and noise, pushes them through the channel, the
-    beamformer, and the decision rule, and counts errors. Returns
-    (estimate, standard_error).
-    """
-    if n_mc <= 0:
-        raise ValueError("n_mc must be positive")
-    _check_weights(w)
-    w = np.asarray(w)
-    gain = (w @ H[:, k]).real * np.sqrt(constellations[k].pulse_energy)
-    errors = 0
-    remaining = n_mc
-    while remaining > 0:
-        n = min(block, remaining)
-        indices, values = draw_symbols(constellations, rng, size=n)
-        r = received_signal(H, values, sigma_z, rng)
-        y = (w @ r).real
-        decisions = decide_block(y, gain, constellations[k])
-        errors += int(np.count_nonzero(decisions != indices[k]))
-        remaining -= n
-    p_hat = errors / n_mc
-    stderr = np.sqrt(max(p_hat * (1.0 - p_hat), 1.0 / n_mc) / n_mc)
-    return p_hat, stderr
 
 
 def feasibility_margins(

@@ -20,7 +20,8 @@ def lift_channel(h: np.ndarray) -> np.ndarray:
     """Complex Nx1 channel -> real 2N vector [Re{h}, -Im{h}].
 
     With :func:`lift_weights` this turns Re{w h} into the real inner product
-    lift_weights(w) @ lift_channel(h).
+    lift_weights(w) @ lift_channel(h). An (N, K) matrix H lifts column by
+    column: column j of the result is lift_channel(H[:, j]).
     """
     h = np.asarray(h)
     return np.concatenate([h.real, -h.imag])
@@ -97,8 +98,7 @@ def sminr_quadratic_form(H: np.ndarray, k: int, constellations) -> np.ndarray:
 
     M = d^2 E_g htilde_k htilde_k^T - sum_{j != k} s_j(L_j)^2 htilde_j htilde_j^T.
     """
-    # column j is lift_channel(H[:, j])
-    lifted = np.concatenate([H.real, -H.imag])
+    lifted = lift_channel(H)
     M = constellations[k].step**2 * np.outer(lifted[:, k], lifted[:, k])
     for j in range(H.shape[1]):
         if j != k:

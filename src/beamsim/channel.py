@@ -1,8 +1,21 @@
-"""Rayleigh channel generation, CSI perturbation, and received-signal synthesis."""
+"""Rayleigh channel generation, CSI perturbation, and receiver noise.
 
-import json
+Every complex Gaussian draw of the package is :func:`complex_normal`, and
+every noisy received block is :func:`add_noise`.
+"""
 
 import numpy as np
+
+
+def complex_normal(shape, rng: np.random.Generator) -> np.ndarray:
+    """x + jy with x and y i.i.d. N(0, 1), the real part drawn first."""
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def add_noise(clean: np.ndarray, sigma_z: float, noise: np.ndarray) -> np.ndarray:
+    """clean + sigma_z/sqrt(2) noise: for a :func:`complex_normal` draw ``noise``,
+    CSCG noise of variance sigma_z^2 per entry."""
+    return clean + sigma_z / np.sqrt(2.0) * noise
 
 
 def sample_channel(n_antennas: int, n_users: int, rng: np.random.Generator) -> np.ndarray:
@@ -12,9 +25,7 @@ def sample_channel(n_antennas: int, n_users: int, rng: np.random.Generator) -> n
     """
     if n_antennas < 1 or n_users < 1:
         raise ValueError("channel dimensions must be >= 1")
-    re = rng.standard_normal((n_antennas, n_users))
-    im = rng.standard_normal((n_antennas, n_users))
-    return (re + 1j * im) / np.sqrt(2.0)
+    return complex_normal((n_antennas, n_users), rng) / np.sqrt(2.0)
 
 
 def perturb_csi(H: np.ndarray, var_ce: float, rng: np.random.Generator) -> np.ndarray:
@@ -23,47 +34,4 @@ def perturb_csi(H: np.ndarray, var_ce: float, rng: np.random.Generator) -> np.nd
         raise ValueError("CSI error variance must be nonnegative")
     if var_ce == 0:
         return H.copy()
-    re = rng.standard_normal(H.shape)
-    im = rng.standard_normal(H.shape)
-    return H + np.sqrt(var_ce / 2.0) * (re + 1j * im)
-
-
-def received_signal(
-    H: np.ndarray, s: np.ndarray, sigma_z: float, rng: np.random.Generator = None
-) -> np.ndarray:
-    """r = H s + z with i.i.d. CSCG noise of variance sigma_z^2 per antenna.
-
-    ``s`` may be a (K,) vector or a (K, n) block of real symbol values;
-    ``sigma_z = 0`` gives the deterministic noise-free output.
-    """
-    s = np.asarray(s)
-    if s.shape[0] != H.shape[1]:
-        raise ValueError(
-            f"symbol vector length {s.shape[0]} does not match K={H.shape[1]}"
-        )
-    if sigma_z < 0:
-        raise ValueError("sigma_z must be nonnegative")
-    r = H @ s
-    if sigma_z > 0:
-        re = rng.standard_normal(r.shape)
-        im = rng.standard_normal(r.shape)
-        r = r + sigma_z / np.sqrt(2.0) * (re + 1j * im)
-    return r
-
-
-def channel_to_json(H: np.ndarray) -> str:
-    """Serialize a channel matrix as a row-major JSON array of [re, im] pairs."""
-    payload = {
-        "n_antennas": H.shape[0],
-        "n_users": H.shape[1],
-        "entries": [[float(x.real), float(x.imag)] for x in H.ravel(order="C")],
-    }
-    return json.dumps(payload)
-
-
-def channel_from_json(text: str) -> np.ndarray:
-    """Inverse of :func:`channel_to_json`."""
-    payload = json.loads(text)
-    entries = np.array(payload["entries"], dtype=float)
-    H = entries[:, 0] + 1j * entries[:, 1]
-    return H.reshape(payload["n_antennas"], payload["n_users"])
+    return H + np.sqrt(var_ce / 2.0) * complex_normal(H.shape, rng)

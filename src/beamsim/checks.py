@@ -11,7 +11,7 @@ from . import analysis, beamformers, channel, convex, modem
 
 
 def _random_unit_complex(n, rng):
-    w = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    w = channel.complex_normal(n, rng)
     return w / np.linalg.norm(w)
 
 
@@ -136,8 +136,8 @@ def check_lifting_identity(rng, quick=True):
     worst = 0.0
     for _ in range(n):
         N = int(rng.integers(1, 8))
-        w = rng.standard_normal(N) + 1j * rng.standard_normal(N)
-        h = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+        w = channel.complex_normal(N, rng)
+        h = channel.complex_normal(N, rng)
         lifted = beamformers.lift_weights(w) @ beamformers.lift_channel(h)
         worst = max(worst, abs(lifted - (w @ h).real))
     return "lifting_identity", worst <= 1e-12, f"max |diff| {worst:.2e}"

@@ -43,7 +43,7 @@ import numpy as np
 from scipy.optimize import lsq_linear, nnls
 from scipy.special import erfc
 
-from .beamformers import unlift_weights
+from .beamformers import lift_channel, unlift_weights
 from .modem import enumerate_interferers
 
 MPE_FULL = "MPE_FULL"
@@ -90,8 +90,7 @@ class ConvexProgram:
         if self.sigma_z <= 0:
             raise ValueError("sigma_z must be positive")
         k = self.user
-        # column j is lift_channel(H[:, j])
-        lifted = np.concatenate([self.H.real, -self.H.imag])
+        lifted = lift_channel(self.H)
         self.a = self.constellations[k].step * lifted[:, k]
         tuple_set = enumerate_interferers(self.constellations, k)
         others = list(tuple_set.users)

@@ -21,6 +21,9 @@ CSI_METHODS = (ZF, MMSE, SMINR)
 
 # the largest preset grid, 0:5:50, has 11 points
 MAX_SNR_POINTS = 1000
+# SNR points lie within +-100 dB: from about 140 dB, sigma_z^2 falls below
+# rounding in MMSE's covariance, and 10^(|SNR|/20) overflows past 6000 dB
+MAX_ABS_SNR_DB = 100
 # the bytes a run may hold by the Scenario estimate; paper-scale fig4 needs 85 MB
 MAX_WORKING_SET_BYTES = 2 * 2**30
 
@@ -64,9 +67,9 @@ class Scenario:
         if not (math.isfinite(self.csi_error_var) and self.csi_error_var >= 0):
             raise ValueError("csi_error_var must be finite and nonnegative")
         if (not 0 < len(self.snr_grid_db) <= MAX_SNR_POINTS
-                or not all(map(math.isfinite, self.snr_grid_db))):
+                or not all(abs(s) <= MAX_ABS_SNR_DB for s in self.snr_grid_db)):
             raise ValueError(f"the SNR grid must be a list of 1 to {MAX_SNR_POINTS} "
-                             "finite values")
+                             f"values within +-{MAX_ABS_SNR_DB} dB")
         if not self.users:
             raise ValueError("a scenario needs at least one user")
         if ZF in self.methods and self.n_antennas < len(self.users):
@@ -250,7 +253,7 @@ def _run_realization(scenario: Scenario, r_index: int, tuple_sets):
     if n_sym > 0:
         indices, values = modem.draw_symbols(users, rng_sym, size=n_sym)
         clean = H @ values
-        noise = rng_noise.standard_normal(clean.shape) + 1j * rng_noise.standard_normal(clean.shape)
+        noise = channel.complex_normal(clean.shape, rng_noise)
 
     energies = [c.average_energy for c in users]
     # user k's feasibility phase, from its first solve on this H_csi: it
@@ -259,7 +262,7 @@ def _run_realization(scenario: Scenario, r_index: int, tuple_sets):
     for si, snr_db in enumerate(scenario.snr_grid_db):
         sigma_z = snr_db_to_sigma(snr_db)
         if n_sym > 0:
-            r_block = clean + sigma_z / np.sqrt(2.0) * noise
+            r_block = channel.add_noise(clean, sigma_z, noise)
         # user k's lifted optimum of the MPE program solved first at this
         # sigma_z starts the other MPE kind: both have the same objective and
         # the same feasible set, hence the same optimum
@@ -327,11 +330,11 @@ def _run_qam_realization(scenario: Scenario, r_index: int, methods, axis):
     idx_re, val_re = modem.draw_symbols([axis] * K, rng_sym, size=scenario.n_symbols)
     idx_im, val_im = modem.draw_symbols([axis] * K, rng_sym, size=scenario.n_symbols)
     clean = H @ (val_re + 1j * val_im)
-    noise = rng_noise.standard_normal(clean.shape) + 1j * rng_noise.standard_normal(clean.shape)
+    noise = channel.complex_normal(clean.shape, rng_noise)
     errors = np.zeros((len(methods), len(scenario.snr_grid_db), K), dtype=np.int64)
     for si, snr_db in enumerate(scenario.snr_grid_db):
         sigma_z = snr_db_to_sigma(snr_db)
-        r_block = clean + sigma_z / np.sqrt(2.0) * noise
+        r_block = channel.add_noise(clean, sigma_z, noise)
         for mi, method in enumerate(methods):
             for k in range(K):
                 if method == ZF:

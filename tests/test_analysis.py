@@ -5,6 +5,7 @@ import pytest
 from scipy.stats import norm
 
 from beamsim import analysis, beamformers, channel, modem
+from mc_oracle import exact_pe_bruteforce, received_block
 
 # fixed two-user scenario shared by the frozen-value tests below
 H_FIXED = np.array(
@@ -61,10 +62,19 @@ class TestExactPe:
         cs = [modem.unit_energy_pam(4)] * 3
         w = beamformers.mmse(H, 0, 0.4, [1.0, 1.0, 1.0])
         exact = analysis.exact_pe(w, H, 0, cs, 0.4)
-        p_hat, stderr = analysis.exact_pe_bruteforce(
+        p_hat, stderr = exact_pe_bruteforce(
             w, H, 0, cs, 0.4, n_mc=400_000, rng=np.random.default_rng(22)
         )
         assert abs(p_hat - exact) < 4 * stderr
+
+
+class TestBruteForceOracle:
+    def test_block_shape(self):
+        rng = np.random.default_rng(9)
+        H = channel.sample_channel(4, 2, rng)
+        S = rng.standard_normal((2, 50))
+        y = received_block(H, S, 0.1, rng)
+        assert y.shape == (4, 50)
 
 
 class TestBoundAndMargins:

@@ -303,6 +303,9 @@ class TestRefusals:
         (["--snr", ",".join(["0"] * 1001)], {}),
         ([], {"BEAMSIM_THREADS": "abc"}),
         (["--antennas", "2", "--users", "4x8pam", "--methods", "MMSE,ZF"], {}),
+        (["--snr=-7000"], {}),
+        (["--snr", "7000"], {}),
+        (["--snr", "160"], {}),
     ])
     def test_bad_input_exits_2(self, tmp_path, capsys, monkeypatch, flags, env):
         for name, value in env.items():
@@ -333,6 +336,20 @@ class TestRefusals:
         assert rc == 2
         assert err.startswith("error: ")
         assert "Traceback" not in err
+        assert not (out / "sweep.json").exists()
+
+    @pytest.mark.parametrize("command", ["rate", "csi"])
+    def test_out_of_range_snr_exits_2_before_sweeping(self, tmp_path, capsys, monkeypatch,
+                                                      command):
+        def fail_run_sweep(*args, **kwargs):
+            raise AssertionError("run_sweep called")
+
+        monkeypatch.setattr(sim, "run_sweep", fail_run_sweep)
+        out = tmp_path / command
+        rc = cli.main([command, *FAST_ARGS, "--snr=-5000", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and "Traceback" not in err
         assert not (out / "sweep.json").exists()
 
     def test_csi_refuses_other_methods(self, tmp_path, capsys):

@@ -56,7 +56,7 @@ class TestScenario:
         dict(n_antennas=0), dict(n_antennas=2.5), dict(n_realizations=0),
         dict(n_realizations=True), dict(n_symbols=-1), dict(seed=-1),
         dict(snr_grid_db=()), dict(snr_grid_db=(0.0, math.nan)),
-        dict(csi_error_var=math.inf), dict(users=()),
+        dict(csi_error_var=math.inf), dict(users=()), dict(snr_grid_db=(0.0, 101.0)),
     ])
     def test_rejects_what_the_schema_rules_out(self, bad):
         with pytest.raises(ValueError):
@@ -183,6 +183,31 @@ class TestRunSweep:
         assert len(started) == 1 and len(tasks) == s.n_realizations
         assert tasks == [pickle.dumps((r,)) for r in range(s.n_realizations)]
 
+    @pytest.mark.parametrize("sweep", [
+        sim.run_sweep, lambda s: sim.qam_reference_sweep(s, qam_order=16),
+    ], ids=["pam", "qam"])
+    def test_noise_is_drawn_through_the_channel_once_per_realization(self, monkeypatch,
+                                                                      sweep):
+        # each realization draws its channel (3, 2) and then one noise block
+        # (3, 50), which every SNR point scales
+        draws, scaled = [], []
+        draw, add_noise = channel.complex_normal, channel.add_noise
+
+        def recording_draw(shape, rng):
+            draws.append(shape)
+            return draw(shape, rng)
+
+        def recording_add_noise(clean, sigma_z, noise):
+            scaled.append(sigma_z)
+            return add_noise(clean, sigma_z, noise)
+
+        monkeypatch.setattr(channel, "complex_normal", recording_draw)
+        monkeypatch.setattr(channel, "add_noise", recording_add_noise)
+        s = tiny_scenario(n_realizations=3, n_symbols=50)
+        sweep(s)
+        assert draws == [(3, 2), (3, 50)] * 3
+        assert scaled == [sim.snr_db_to_sigma(snr) for snr in s.snr_grid_db] * 3
+
     def test_worker_count_does_not_change_qam_reference(self, tmp_path):
         # QAM rows hold NaN, which never compares equal, so compare the written files
         s = tiny_scenario(methods=(sim.ZF, sim.MMSE))
@@ -290,6 +315,25 @@ def test_engine_matches_frozen_rows():
             assert r.pe_bound <= bound * (1 + 1e-6)
         else:
             assert r.pe_analytic <= pe * (1 + 1e-6)
+
+
+# (method, snr_db, QAM symbol errors) of the 64-QAM reference sweep in
+# test_qam_reference_matches_frozen_counts
+FROZEN_QAM_ROWS = [
+    ("ZF-QAM", 10.0, 738),
+    ("ZF-QAM", 20.0, 63),
+    ("MMSE-QAM", 10.0, 740),
+    ("MMSE-QAM", 20.0, 66),
+]
+
+
+def test_qam_reference_matches_frozen_counts():
+    s = tiny_scenario(snr_grid_db=(10.0, 20.0), n_realizations=3, n_symbols=200,
+                      methods=(sim.ZF, sim.MMSE), seed=7)
+    rows = sim.qam_reference_sweep(s, qam_order=64).rows
+    assert [(r.method, r.snr_db) for r in rows] == [ref[:2] for ref in FROZEN_QAM_ROWS]
+    for r, (_, _, errors) in zip(rows, FROZEN_QAM_ROWS):
+        assert round(r.ser * 3 * 200 * 2) == errors
 
 
 class TestSolverMethods:
