@@ -82,20 +82,14 @@ def exact_pe(
     return 2.0 * (L - 1) / (L * args.size) * float(np.sum(q_function(args)))
 
 
-def feasibility_margins(
-    w: np.ndarray,
-    H: np.ndarray,
-    k: int,
-    constellations,
-    tuple_set: InterfererTupleSet = None,
-):
+def feasibility_margins(w: np.ndarray, H: np.ndarray, k: int, constellations):
     """Full per-tuple margins and the collapsed single margin.
 
     full(b) = Re{w h_k d sqrt(E_g) - w H_kbar sbar(b)}
     reduced = Re{w h_k d sqrt(E_g)} - sum_j |Re{w h_j s_j(L_j)}|
     The reduced margin equals min(full) exactly.
     """
-    _, self_term, cross, tuple_set = _gains(w, H, k, constellations, tuple_set)
+    _, self_term, cross, tuple_set = _gains(w, H, k, constellations)
     full = self_term - tuple_set.tuples @ cross
     return full, _reduced_margin(self_term, cross, tuple_set)
 

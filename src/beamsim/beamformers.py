@@ -70,11 +70,11 @@ def mmse(H: np.ndarray, k: int, sigma_z: float, symbol_energies) -> np.ndarray:
     return w / np.linalg.norm(w)
 
 
-def max_eigvec_symmetric(M: np.ndarray, tol: float = 1e-12):
+def max_eigvec_symmetric(M: np.ndarray):
     """(largest eigenvalue, unit eigenvector) of a real symmetric matrix.
 
     Deterministic sign convention: the first component of the eigenvector
-    whose magnitude exceeds tol is made positive.
+    whose magnitude exceeds 1e-12 is made positive.
     """
     M = np.asarray(M, dtype=float)
     if M.shape[0] != M.shape[1]:
@@ -86,7 +86,7 @@ def max_eigvec_symmetric(M: np.ndarray, tol: float = 1e-12):
     lam = float(eigvals[-1])
     v = eigvecs[:, -1]
     for x in v:
-        if abs(x) > tol:
+        if abs(x) > 1e-12:
             if x < 0:
                 v = -v
             break

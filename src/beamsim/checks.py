@@ -15,7 +15,7 @@ def _random_unit_complex(n, rng):
     return w / np.linalg.norm(w)
 
 
-def check_alphabet_symmetry(rng, quick=True):
+def check_alphabet_symmetry(rng, quick):
     for order in (2, 3, 4, 8, 16):
         c = modem.unit_energy_pam(order)
         amps = c.amplitudes()
@@ -27,7 +27,7 @@ def check_alphabet_symmetry(rng, quick=True):
     return "alphabet_symmetry", True, "orders 2..16"
 
 
-def check_decision_round_trip(rng, quick=True):
+def check_decision_round_trip(rng, quick):
     for order in (2, 4, 8):
         c = modem.unit_energy_pam(order)
         for gain in (0.3, 1.0, 7.5):
@@ -38,7 +38,7 @@ def check_decision_round_trip(rng, quick=True):
     return "decision_round_trip", True, "noise-free decisions exact"
 
 
-def check_tuple_negation_closure(rng, quick=True):
+def check_tuple_negation_closure(rng, quick):
     cs = [modem.unit_energy_pam(L) for L in (2, 3, 4)]
     for k in range(3):
         ts = modem.enumerate_interferers(cs, k)
@@ -49,7 +49,7 @@ def check_tuple_negation_closure(rng, quick=True):
     return "tuple_negation_closure", True, "negation is a bijection"
 
 
-def check_scale_invariance(rng, quick=True):
+def check_scale_invariance(rng, quick):
     n = 50 if quick else 200
     cs = [modem.unit_energy_pam(4) for _ in range(3)]
     worst = 0.0
@@ -62,7 +62,7 @@ def check_scale_invariance(rng, quick=True):
     return "scale_invariance", worst <= 1e-12, f"worst rel diff {worst:.2e}"
 
 
-def check_qsum_sign_symmetry(rng, quick=True):
+def check_qsum_sign_symmetry(rng, quick):
     n = 50 if quick else 200
     cs = [modem.unit_energy_pam(4) for _ in range(3)]
     ts = modem.enumerate_interferers(cs, 0)
@@ -79,7 +79,7 @@ def check_qsum_sign_symmetry(rng, quick=True):
     return "qsum_sign_symmetry", worst <= 1e-12, f"worst rel diff {worst:.2e}"
 
 
-def check_bound_dominance(rng, quick=True):
+def check_bound_dominance(rng, quick):
     n = 10_000
     cs = [modem.unit_energy_pam(2) for _ in range(2)]
     worst = -np.inf
@@ -93,7 +93,7 @@ def check_bound_dominance(rng, quick=True):
     return "bound_dominance", worst <= 1e-12, f"max (exact - bound) = {worst:.2e}"
 
 
-def check_margin_equivalence(rng, quick=True):
+def check_margin_equivalence(rng, quick):
     n = 200 if quick else 10_000
     worst = 0.0
     for _ in range(n):
@@ -106,7 +106,7 @@ def check_margin_equivalence(rng, quick=True):
     return "margin_equivalence", worst <= 1e-12, f"max |min(full)-reduced| {worst:.2e}"
 
 
-def check_convex_combination_feasibility(rng, quick=True):
+def check_convex_combination_feasibility(rng, quick):
     n = 100 if quick else 1000
     cs = [modem.unit_energy_pam(4) for _ in range(3)]
     for _ in range(n):
@@ -131,7 +131,7 @@ def check_convex_combination_feasibility(rng, quick=True):
     return "convex_combination_feasibility", True, "mixtures stay feasible"
 
 
-def check_lifting_identity(rng, quick=True):
+def check_lifting_identity(rng, quick):
     n = 200
     worst = 0.0
     for _ in range(n):
@@ -143,7 +143,7 @@ def check_lifting_identity(rng, quick=True):
     return "lifting_identity", worst <= 1e-12, f"max |diff| {worst:.2e}"
 
 
-def check_zf_nulling(rng, quick=True):
+def check_zf_nulling(rng, quick):
     n = 25 if quick else 200
     worst = 0.0
     for _ in range(n):
@@ -155,7 +155,7 @@ def check_zf_nulling(rng, quick=True):
     return "zf_nulling", worst <= 1e-10, f"max residual {worst:.2e}"
 
 
-def check_gradient_fd(rng, quick=True):
+def check_gradient_fd(rng, quick):
     n_points = 20 if quick else 100
     cs = tuple(modem.unit_energy_pam(4) for _ in range(3))
     worst = 0.0
@@ -178,7 +178,7 @@ def check_gradient_fd(rng, quick=True):
     return "gradient_fd", worst <= 1e-6, f"worst rel error {worst:.2e}"
 
 
-def check_error_floor_limit(rng, quick=True):
+def check_error_floor_limit(rng, quick):
     # identical-channel two-user BPSK: exact Pe -> 1/4 as power grows
     scale = 1e6
     cs = [modem.Constellation(2, half_spacing=scale), modem.Constellation(2, half_spacing=scale)]
@@ -190,7 +190,7 @@ def check_error_floor_limit(rng, quick=True):
     return "error_floor_limit", ok, f"pe={pe:.8f} floor={floor}"
 
 
-def check_objective_convexity(rng, quick=True):
+def check_objective_convexity(rng, quick):
     n = 30 if quick else 200
     cs = tuple(modem.unit_energy_pam(2) for _ in range(3))
     worst = -np.inf
@@ -212,7 +212,7 @@ def check_objective_convexity(rng, quick=True):
     return "objective_convexity", worst <= 1e-10, f"max violation {worst:.2e}"
 
 
-def check_sminr_optimality(rng, quick=True):
+def check_sminr_optimality(rng, quick):
     n_instances = 10 if quick else 100
     n_probe = 1000 if quick else 10_000
     cs = [modem.unit_energy_pam(8) for _ in range(4)]
@@ -245,7 +245,7 @@ ALL_CHECKS = (
 )
 
 
-def run_checks(quick: bool = True, seed: int = 12345):
+def run_checks(quick: bool, seed: int):
     """Run every property suite; returns a list of (name, passed, detail)."""
     results = []
     for fn in ALL_CHECKS:

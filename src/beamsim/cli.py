@@ -96,6 +96,8 @@ PRESETS = {
     # imperfect-CSI comparison, closed-form methods only
     "fig5": {"methods": ",".join(sim.CSI_METHODS), "snr": "0:5:45"},
 }
+# Scenario-key text of --paper-scale: the original 10^4 x 10^3 Monte-Carlo scale
+PAPER_SCALE = {"realizations": "10000", "symbols": "1000"}
 
 
 def _load_scenario_file(path: str, keys) -> dict:
@@ -115,8 +117,8 @@ def _load_scenario_file(path: str, keys) -> dict:
 
 
 def build_scenario(args, keys=KEYS, base=None) -> sim.Scenario:
-    """Scenario from the key text of ``base``, the preset, the scenario file
-    and the flags, each overriding the one before.
+    """Scenario from the key text of ``base``, the preset, ``--paper-scale``,
+    the scenario file and the flags, each overriding the one before.
 
     Only ``keys`` may come from the file and the flags; a key that no source
     gives keeps its Scenario default.
@@ -126,29 +128,21 @@ def build_scenario(args, keys=KEYS, base=None) -> sim.Scenario:
         if args.preset not in PRESETS:
             raise ConfigError(f"unknown preset {args.preset!r}")
         text.update(PRESETS[args.preset])
+    if getattr(args, "paper_scale", False):
+        text.update(PAPER_SCALE)
     if args.scenario:
         text.update(_load_scenario_file(args.scenario, keys))
     text.update((key, v) for key in keys if (v := getattr(args, key, None)) is not None)
     try:
-        scenario = sim.Scenario(**{KEYS[key][0]: KEYS[key][1](value)
-                                   for key, value in text.items()})
-        if getattr(args, "paper_scale", False):
-            scenario = scenario.paper_scale()
+        return sim.Scenario(**{KEYS[key][0]: KEYS[key][1](value)
+                               for key, value in text.items()})
     except (ValueError, OverflowError) as exc:
         raise ConfigError(str(exc)) from exc
-    return scenario
 
 
-def _n_workers(args) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("BEAMSIM_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigError(f"bad BEAMSIM_THREADS {env!r}, expected an integer") from None
-    return os.cpu_count() or 1
+def _n_workers(args):
+    """The worker count asked for; ``sim`` caps it at 1..realizations, cores."""
+    return os.cpu_count() if args.threads is None else args.threads
 
 
 def _write_outputs(out_dir, scenario, results, csi_vars=None):
@@ -182,7 +176,6 @@ def _write_outputs(out_dir, scenario, results, csi_vars=None):
         "code_version": __version__,
         "seed": scenario.seed,
         "created_unix": int(time.time()),
-        "outputs": [csv_path, json_path],
     }
     for name, text in (
         (csv_path, "\n".join(lines)),
@@ -235,8 +228,7 @@ def cmd_csi(args) -> int:
 
 
 def cmd_check(args) -> int:
-    seed = 12345 if args.seed is None else args.seed
-    results = checks.run_checks(quick=args.quick, seed=seed)
+    results = checks.run_checks(quick=args.quick, seed=args.seed)
     width = max(len(name) for name, _, _ in results)
     failures = 0
     for name, ok, detail in results:
@@ -260,9 +252,10 @@ def make_parser() -> argparse.ArgumentParser:
         for key, (_, _, help_text) in keys.items():
             p.add_argument("--" + key.replace("_", "-"), dest=key, help=help_text)
         p.add_argument("--paper-scale", action="store_true",
-                       help="use the original 10^4 x 10^3 Monte-Carlo scale")
+                       help="use the original 10^4 x 10^3 Monte-Carlo scale; "
+                            "the scenario file and flags override it")
         p.add_argument("--threads", type=int,
-                       help="worker processes (default: BEAMSIM_THREADS or all cores)")
+                       help="worker processes (default: all cores)")
         p.add_argument("--out", required=True, help="output directory")
 
     p_sweep = sub.add_parser("sweep", help="SER / analytic-Pe / bound sweep")
@@ -279,7 +272,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="run the property suites")
     p_check.add_argument("--quick", action="store_true", help="small instance sizes")
-    p_check.add_argument("--seed", type=int)
+    p_check.add_argument("--seed", type=int, default=12345)
     p_check.set_defaults(func=cmd_check)
     return parser
 

@@ -90,16 +90,16 @@ class ConvexProgram:
         if self.sigma_z <= 0:
             raise ValueError("sigma_z must be positive")
         k = self.user
+        # every kind holds one row per tuple: count them before enumerating
+        count = math.prod(c.order for j, c in enumerate(self.constellations) if j != k)
+        if count > MAX_FULL_TUPLES:
+            raise ValueError(f"{count} interferer tuples exceed the cap of {MAX_FULL_TUPLES}")
         lifted = lift_channel(self.H)
         self.a = self.constellations[k].step * lifted[:, k]
         tuple_set = enumerate_interferers(self.constellations, k)
         others = list(tuple_set.users)
         self.U = tuple_set.peaks[:, None] * lifted[:, others].T
 
-        if self.kind == MPE_FULL and tuple_set.count > MAX_FULL_TUPLES:
-            raise ValueError(
-                f"{tuple_set.count} tuples exceed the MPE_FULL cap; use MPE_REDUCED"
-            )
         # rows: a - sum_j sbar_b[j] htilde_j, one per interferer tuple
         self.G_objective = self.a[None, :] - tuple_set.tuples @ lifted[:, others].T
         if self.kind == MPE_FULL:
@@ -214,24 +214,21 @@ def _maximize_margin(program: ConvexProgram) -> Feasibility:
     return Feasibility(margin, w_bar, abs(margin - program.reduced_margin(w_bar)), iterations)
 
 
-def random_feasible_start(program: ConvexProgram, rng: np.random.Generator, w_feas=None):
+def random_feasible_start(program: ConvexProgram, rng: np.random.Generator, w_feas):
     """Random unit vector with strictly positive reduced margin.
 
-    Blends a random direction toward the maximum-margin point until the
-    margin is positive. Used for solver-uniqueness checks.
+    Blends a random direction toward ``w_feas``, the lifted maximum-margin
+    point, until the margin is positive. Used for solver-uniqueness checks.
     """
-    w_bar = w_feas if w_feas is not None else _maximize_margin(program).w_bar
-    if w_bar is None:
-        raise ValueError("program is infeasible; no feasible start exists")
     for _ in range(64):
         v = rng.standard_normal(program.dimension)
         v /= np.linalg.norm(v)
         for alpha in (1.0, 0.5, 0.25, 0.1, 0.03, 0.01):
-            cand = alpha * v + (1.0 - alpha) * w_bar
+            cand = alpha * v + (1.0 - alpha) * w_feas
             cand /= np.linalg.norm(cand)
             if program.reduced_margin(cand) > TOL_FEAS:
                 return cand
-    return w_bar
+    return w_feas
 
 
 def _sphere_sqp(program: ConvexProgram, w0: np.ndarray):

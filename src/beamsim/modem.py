@@ -144,17 +144,16 @@ def _enumerate_interferers(constellations: tuple, k: int) -> InterfererTupleSet:
     return InterfererTupleSet(users=others, tuples=tuples, peaks=peaks)
 
 
-def draw_symbols(constellations, rng: np.random.Generator, size: int = None):
-    """Draw independent uniform symbols for every user.
+def draw_symbols(constellations, rng: np.random.Generator, size: int):
+    """Draw ``size`` independent uniform symbols for every user.
 
     Returns (indices, values): 1-based indices and symbol values, each of
-    shape (K,) or (K, size) when ``size`` is given.
+    shape (K, size).
     """
-    shape = () if size is None else (size,)
-    indices = np.empty((len(constellations),) + shape, dtype=np.int64)
-    values = np.empty((len(constellations),) + shape)
+    indices = np.empty((len(constellations), size), dtype=np.int64)
+    values = np.empty((len(constellations), size))
     for j, c in enumerate(constellations):
-        idx = rng.integers(1, c.order + 1, size=shape)
+        idx = rng.integers(1, c.order + 1, size=size)
         indices[j] = idx
         values[j] = c.symbol_values()[idx - 1]
     return indices, values

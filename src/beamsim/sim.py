@@ -4,7 +4,7 @@ import math
 import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,8 +33,7 @@ class Scenario:
     """Full experiment description for one sweep.
 
     Defaults reproduce the four-user 8-PAM, four-antenna setup at desk scale
-    (500 realizations x 2000 symbols); ``paper_scale()`` restores the
-    original 10^4 x 10^3.
+    (500 realizations x 2000 symbols); the paper's is 10^4 x 10^3.
     """
 
     n_antennas: int = 4
@@ -70,6 +69,11 @@ class Scenario:
                 or not all(abs(s) <= MAX_ABS_SNR_DB for s in self.snr_grid_db)):
             raise ValueError(f"the SNR grid must be a list of 1 to {MAX_SNR_POINTS} "
                              f"values within +-{MAX_ABS_SNR_DB} dB")
+        # a repeated method or SNR point would give two rows for one cell
+        for name in ("methods", "snr_grid_db"):
+            values = getattr(self, name)
+            if len(set(values)) < len(values):
+                raise ValueError(f"{name} lists a value more than once")
         if not self.users:
             raise ValueError("a scenario needs at least one user")
         if ZF in self.methods and self.n_antennas < len(self.users):
@@ -99,9 +103,6 @@ class Scenario:
                 f"the run would hold about {working_set / 2**30:.3g} GiB, above the cap "
                 f"of {MAX_WORKING_SET_BYTES / 2**30:.3g} GiB"
             )
-
-    def paper_scale(self) -> "Scenario":
-        return replace(self, n_realizations=10_000, n_symbols=1_000)
 
 
 @dataclass

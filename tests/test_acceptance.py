@@ -6,6 +6,7 @@ shared by the first two data-driven criteria via a module-scoped fixture.
 """
 
 import math
+import os
 import time
 
 import numpy as np
@@ -22,6 +23,11 @@ from beamsim import (
 )
 
 
+# the rows are bit-identical for any worker count, so the two long sweeps
+# take two workers where the host has them
+TWO_WORKERS = min(2, os.cpu_count() or 1)
+
+
 def report(n, ok, detail):
     print(f"CRITERION {n}: {'PASS' if ok else 'FAIL'} - {detail}")
 
@@ -32,7 +38,7 @@ def default_sweep():
         snr_grid_db=(0.0, 10.0, 20.0, 30.0),
         methods=sim.ALL_METHODS,
     )
-    return sim.run_sweep(scenario)
+    return sim.run_sweep(scenario, n_workers=TWO_WORKERS)
 
 
 def test_criterion_01_analytic_matches_monte_carlo(default_sweep):
@@ -116,7 +122,7 @@ def test_criterion_04_proposed_methods_cluster(default_sweep):
         methods=proposed,
         seed=0,
     )
-    res30 = sim.run_sweep(high)
+    res30 = sim.run_sweep(high, n_workers=TWO_WORKERS)
     pes = [res30.row(m, 30.0).pe_analytic for m in proposed]
     spreads[30.0] = (max(pes) - min(pes)) / min(pes)
     worst = max(spreads.values())

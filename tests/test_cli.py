@@ -147,6 +147,23 @@ class TestScenarioBuilding:
         assert s.n_realizations == 10_000
         assert s.n_symbols == 1000
 
+    def test_flags_override_paper_scale(self):
+        ns = cli.make_parser().parse_args(
+            ["sweep", "--preset", "fig1", "--paper-scale", "--realizations", "5",
+             "--symbols", "0", "--out", "/tmp/x"]
+        )
+        s = cli.build_scenario(ns)
+        assert (s.n_realizations, s.n_symbols) == (5, 0)
+
+    def test_scenario_file_overrides_paper_scale(self, tmp_path):
+        cfg = tmp_path / "scen.ini"
+        cfg.write_text("[scenario]\nrealizations = 7\n")
+        ns = cli.make_parser().parse_args(
+            ["sweep", "--paper-scale", "--scenario", str(cfg), "--out", "/tmp/x"]
+        )
+        s = cli.build_scenario(ns)
+        assert (s.n_realizations, s.n_symbols) == (7, 1000)
+
 
 class TestCommands:
     def test_sweep_writes_outputs(self, tmp_path):
@@ -181,7 +198,7 @@ class TestCommands:
         methods = {r["method"] for r in doc["rows"]}
         assert "ZF-QAM" in methods
 
-    def test_csi_emits_variance_column(self, tmp_path):
+    def test_csi_emits_variance_column(self, tmp_path, monkeypatch):
         out = tmp_path / "csi"
         rc = cli.main(
             ["csi", *FAST_ARGS, "--methods", "ZF,MMSE", "--symbols", "0", "--out", str(out)]
@@ -213,7 +230,12 @@ class TestCommands:
         assert all(list(row) == [*ROW_COLUMNS, "csi_var"] for row in doc["rows"])
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["seed"] == 1
-        assert manifest["outputs"] == [str(out / "sweep.csv"), str(out / "sweep.json")]
+        # the manifest does not depend on where the run starts
+        monkeypatch.chdir(tmp_path)
+        cli.main(["csi", *FAST_ARGS, "--methods", "ZF,MMSE", "--symbols", "0", "--out", "rel"])
+        relative = json.loads((tmp_path / "rel" / "manifest.json").read_text())
+        assert relative.keys() == manifest.keys()
+        assert all(relative[key] == manifest[key] for key in manifest if key != "created_unix")
 
     def test_check_quick(self, capsys):
         rc = cli.main(["check", "--quick"])
@@ -249,16 +271,11 @@ class TestCommands:
         assert rc == 2
         assert "error" in capsys.readouterr().err
 
-    def test_threads_env_variable(self, monkeypatch):
-        monkeypatch.setenv("BEAMSIM_THREADS", "1")
-        ns = cli.make_parser().parse_args(["sweep", *FAST_ARGS, "--out", "/tmp/x"])
-        assert cli._n_workers(ns) == 1
-
     def test_threads_flag_wins(self, monkeypatch):
-        monkeypatch.setenv("BEAMSIM_THREADS", "8")
-        ns = cli.make_parser().parse_args(
-            ["sweep", "--threads", "2", *FAST_ARGS, "--out", "/tmp/x"]
-        )
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+        parse = cli.make_parser().parse_args
+        assert cli._n_workers(parse(["sweep", *FAST_ARGS, "--out", "/tmp/x"])) == 8
+        ns = parse(["sweep", "--threads", "2", *FAST_ARGS, "--out", "/tmp/x"])
         assert cli._n_workers(ns) == 2
 
 
@@ -301,11 +318,12 @@ class TestRefusals:
         (["--users", "9x8pam"], {}),
         (["--users", "1x" + "9" * 400 + "pam"], {}),
         (["--snr", ",".join(["0"] * 1001)], {}),
-        ([], {"BEAMSIM_THREADS": "abc"}),
         (["--antennas", "2", "--users", "4x8pam", "--methods", "MMSE,ZF"], {}),
         (["--snr=-7000"], {}),
         (["--snr", "7000"], {}),
         (["--snr", "160"], {}),
+        (["--methods", "ZF,ZF"], {}),
+        (["--snr", "0,0"], {}),
     ])
     def test_bad_input_exits_2(self, tmp_path, capsys, monkeypatch, flags, env):
         for name, value in env.items():

@@ -22,6 +22,18 @@ class TestProgramSetup:
         assert prog.G_objective.shape == (64, 8)
         assert prog.G_constraints.shape == (64, 8)
 
+    @pytest.mark.parametrize("kind", [convex.MPE_FULL, convex.MPE_REDUCED, convex.SMINR_AMP])
+    def test_tuple_cap_is_checked_before_enumerating(self, kind, monkeypatch):
+        # 21 BPSK users give 2^20 tuples per user, above the cap: the guard
+        # keeps the refusal from ever building them
+        def fail_enumerate(*args):
+            raise AssertionError("enumerate_interferers called")
+
+        monkeypatch.setattr(convex, "enumerate_interferers", fail_enumerate)
+        cs = [modem.unit_energy_pam(2)] * 21
+        with pytest.raises(ValueError, match="1048576 interferer tuples exceed the cap"):
+            convex.ConvexProgram(kind, np.ones((1, 21), dtype=complex), 0, cs, 0.1)
+
     def test_reduced_constraint_count(self):
         prog, _, _ = make_program(0, convex.MPE_REDUCED)
         # the extreme tuples: every one of the K-1 interferers at +-its peak

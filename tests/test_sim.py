@@ -35,11 +35,6 @@ class TestScenario:
         assert s.n_symbols == 2000
         assert s.csi_error_var == 0.0
 
-    def test_paper_scale(self):
-        s = sim.Scenario().paper_scale()
-        assert s.n_realizations == 10_000
-        assert s.n_symbols == 1000
-
     def test_dict_round_trip(self, tmp_path):
         # the scenario object of sweep.json rebuilds the scenario
         s = tiny_scenario(csi_error_var=0.001)
@@ -57,6 +52,7 @@ class TestScenario:
         dict(n_realizations=True), dict(n_symbols=-1), dict(seed=-1),
         dict(snr_grid_db=()), dict(snr_grid_db=(0.0, math.nan)),
         dict(csi_error_var=math.inf), dict(users=()), dict(snr_grid_db=(0.0, 101.0)),
+        dict(methods=(sim.ZF, sim.ZF)), dict(snr_grid_db=(0.0, 0.0)),
     ])
     def test_rejects_what_the_schema_rules_out(self, bad):
         with pytest.raises(ValueError):
@@ -130,6 +126,7 @@ class TestRunSweep:
 
     @pytest.mark.parametrize("n_workers, cores, expected", [
         (100_000, 2, 2), (100_000, 64, 8), (3, 64, 3), (100_000, None, 1),
+        (0, 64, 1), (-3, 64, 1),
     ])
     def test_pool_size_is_capped(self, monkeypatch, n_workers, cores, expected):
         # a pool forks all its processes at once: never more than the
