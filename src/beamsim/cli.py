@@ -8,6 +8,7 @@ import json
 import math
 import os
 import sys
+import tempfile
 import time
 
 import numpy as np
@@ -145,6 +146,17 @@ def _n_workers(args):
     return os.cpu_count() if args.threads is None else args.threads
 
 
+def _make_out_dir(out_dir) -> None:
+    """Create the output directory and write a scratch file in it, so that
+    an unwritable ``--out`` is refused before any work."""
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        with tempfile.TemporaryFile(dir=out_dir):
+            pass
+    except OSError as exc:
+        raise ConfigError(f"cannot write to the output directory: {exc}") from None
+
+
 def _write_outputs(out_dir, scenario, results, csi_vars=None):
     """Write sweep.csv, sweep.json and manifest.json for the rows of ``results``.
 
@@ -189,6 +201,7 @@ def _write_outputs(out_dir, scenario, results, csi_vars=None):
 
 def cmd_sweep(args) -> int:
     scenario = build_scenario(args)
+    _make_out_dir(args.out)
     result = sim.run_sweep(scenario, n_workers=_n_workers(args))
     print(f"wrote {_write_outputs(args.out, scenario, [result])}")
     return 0
@@ -205,6 +218,7 @@ def cmd_rate(args) -> int:
         )
     except ValueError as exc:
         raise ConfigError(f"64-QAM reference: {exc}") from exc
+    _make_out_dir(args.out)
     n_workers = _n_workers(args)
     result = sim.run_sweep(scenario, n_workers=n_workers)
     qam = sim.qam_reference_sweep(qam_scenario, qam_order=64, n_workers=n_workers)
@@ -216,6 +230,7 @@ def cmd_csi(args) -> int:
     scenario = build_scenario(args, CSI_KEYS, {"methods": ",".join(sim.CSI_METHODS)})
     if not set(scenario.methods) <= set(sim.CSI_METHODS):
         raise ConfigError(f"csi takes only the methods {','.join(sim.CSI_METHODS)}")
+    _make_out_dir(args.out)
     n_workers = _n_workers(args)
     variances = (0.0, 0.001, 0.01)
     results = [

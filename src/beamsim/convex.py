@@ -40,11 +40,13 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import lsq_linear, nnls
 from scipy.special import erfc
 
 from .beamformers import lift_channel, unlift_weights
 from .modem import enumerate_interferers
+
+# scipy.optimize is imported inside the functions that call it, so a run of
+# closed-form beamformers alone never loads it
 
 MPE_FULL = "MPE_FULL"
 MPE_REDUCED = "MPE_REDUCED"
@@ -201,6 +203,8 @@ def _maximize_margin(program: ConvexProgram) -> Feasibility:
     the peak interferer directions around a (Stark & Parker, Bounded-Variable
     Least-Squares, 1995). With g* = a - U^T t* the maximizer is g*/||g*||.
     """
+    from scipy.optimize import lsq_linear
+
     a, U = program.a, program.U
     if U.shape[0]:
         res = lsq_linear(U.T, a, bounds=(-1.0, 1.0), method="bvls")
@@ -253,6 +257,8 @@ def _sphere_sqp(program: ConvexProgram, w0: np.ndarray):
     row per accepted step. An objective or gradient that has underflowed to
     zero leaves the start point as it is.
     """
+    from scipy.optimize import nnls
+
     G_obj, G = program.G_objective, program.G_constraints
     n = w0.size
     w = w0 / np.linalg.norm(w0)
@@ -306,6 +312,8 @@ def _sphere_sqp(program: ConvexProgram, w0: np.ndarray):
 
 def _kkt_residual(program: ConvexProgram, w_bar: np.ndarray, grad: np.ndarray) -> float:
     """Distance of -grad from the cone spanned by active constraint normals."""
+    from scipy.optimize import nnls
+
     columns = [-2.0 * w_bar] if np.linalg.norm(w_bar) >= 1.0 - 1e-7 else []
     margins = program.G_constraints @ w_bar
     for i in np.nonzero(margins <= 1e-7)[0]:

@@ -16,6 +16,8 @@ MMSE = "MMSE"
 SMINR = "SMINR"
 
 ALL_METHODS = (ZF, MMSE, MPE_FULL, MPE_REDUCED, SMINR_AMP, SMINR)
+# the methods that solve a convex program
+SOLVER_METHODS = (MPE_FULL, MPE_REDUCED, SMINR_AMP)
 # the closed-form methods of the imperfect-CSI experiment
 CSI_METHODS = (ZF, MMSE, SMINR)
 
@@ -24,6 +26,10 @@ MAX_SNR_POINTS = 1000
 # SNR points lie within +-100 dB: from about 140 dB, sigma_z^2 falls below
 # rounding in MMSE's covariance, and 10^(|SNR|/20) overflows past 6000 dB
 MAX_ABS_SNR_DB = 100
+# the CSI error variance is at most 1e6, where the estimate keeps a millionth
+# of its power from the true channel (the presets go to 1e-2); near 1e308
+# the estimate's squared entries overflow and MMSE and SMINR fail
+MAX_CSI_ERROR_VAR = 1e6
 # the bytes a run may hold by the Scenario estimate; paper-scale fig4 needs 85 MB
 MAX_WORKING_SET_BYTES = 2 * 2**30
 
@@ -63,8 +69,9 @@ class Scenario:
             if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
                     or value < minimum):
                 raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
-        if not (math.isfinite(self.csi_error_var) and self.csi_error_var >= 0):
-            raise ValueError("csi_error_var must be finite and nonnegative")
+        if not 0 <= self.csi_error_var <= MAX_CSI_ERROR_VAR:  # also refuses nan
+            raise ValueError(f"csi_error_var must lie in [0, {MAX_CSI_ERROR_VAR:g}], "
+                             f"got {self.csi_error_var!r}")
         if (not 0 < len(self.snr_grid_db) <= MAX_SNR_POINTS
                 or not all(abs(s) <= MAX_ABS_SNR_DB for s in self.snr_grid_db)):
             raise ValueError(f"the SNR grid must be a list of 1 to {MAX_SNR_POINTS} "
@@ -93,10 +100,13 @@ class Scenario:
         working_set = (
             16 * N * K  # the channel
             + (48 * N + 16 * K) * self.n_symbols  # one realization's symbol block
+            # each user's symbol values, decision thresholds and scaled
+            # thresholds, and the thresholds-by-symbols comparison in detection
+            + 24 * sum(orders) + (max(orders) - 1) * self.n_symbols
             + 32 * cells  # the four stacked result arrays
             + 8 * (K - 1) * sum(tuple_counts)  # every user's interferer tuple set
             # one convex program's tuple rows
-            + 16 * N * tuples * bool({MPE_FULL, MPE_REDUCED, SMINR_AMP} & set(self.methods))
+            + 16 * N * tuples * bool(set(SOLVER_METHODS) & set(self.methods))
         )
         if working_set > MAX_WORKING_SET_BYTES:
             raise ValueError(
@@ -307,6 +317,10 @@ def run_sweep(scenario: Scenario, n_workers: int = 1) -> SweepResult:
     """
     tuple_sets = [modem.enumerate_interferers(scenario.users, k)
                   for k in range(len(scenario.users))]
+    if set(SOLVER_METHODS) & set(scenario.methods):
+        # the solvers' scipy.optimize loads here, in set-up and before the
+        # pool forks, not at the first solve inside a realization or a worker
+        import scipy.optimize  # noqa: F401
     arrays = _map_realizations(_run_realization, scenario, n_workers, tuple_sets)
     bits = [c.bits_per_symbol for c in scenario.users]
     return SweepResult(scenario, _sweep_rows(scenario, scenario.methods, bits, *arrays))

@@ -92,7 +92,7 @@ def test_criterion_03_gain_over_baselines():
         methods=(sim.SMINR, sim.ZF, sim.MMSE),
         seed=42,
     )
-    res = sim.run_sweep(scenario)
+    res = sim.run_sweep(scenario, n_workers=TWO_WORKERS)
     level = 2.3e-2
     x_prop = _crossing_snr(res.series(sim.SMINR), level)
     gaps = [

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import textwrap
 from pathlib import Path
 
 import jsonschema
@@ -37,6 +38,15 @@ FAST_ARGS = [
     "--seed",
     "1",
 ]
+
+
+def _python(*args, cwd=None) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter that imports this checkout's beamsim."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *args], env=env, cwd=cwd, capture_output=True,
+                          text=True, timeout=120)
 
 
 class TestParsing:
@@ -258,11 +268,7 @@ class TestCommands:
         assert seen == [seed]
 
     def test_python_dash_m_entry_point(self):
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = {**os.environ,
-               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.run([sys.executable, "-m", "beamsim", "check", "--quick"],
-                              env=env, capture_output=True, text=True, timeout=120)
+        proc = _python("-m", "beamsim", "check", "--quick")
         assert proc.returncode == 0, proc.stderr
         assert "checks passed" in proc.stdout
 
@@ -303,6 +309,12 @@ class TestOutputFormat:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["scenario_digest"] == digest
 
+    def test_schema_bounds_are_the_scenario_caps(self):
+        props = SCHEMA["properties"]["scenario"]["properties"]
+        assert props["csi_error_var"]["maximum"] == sim.MAX_CSI_ERROR_VAR
+        assert props["snr_grid_db"]["items"]["maximum"] == sim.MAX_ABS_SNR_DB
+        assert props["seed"]["minimum"] == 0
+
 
 class TestRefusals:
     @pytest.mark.parametrize("flags, env", [
@@ -324,6 +336,7 @@ class TestRefusals:
         (["--snr", "160"], {}),
         (["--methods", "ZF,ZF"], {}),
         (["--snr", "0,0"], {}),
+        (["--csi-var", "1e308"], {}),
     ])
     def test_bad_input_exits_2(self, tmp_path, capsys, monkeypatch, flags, env):
         for name, value in env.items():
@@ -435,6 +448,39 @@ class TestRefusals:
         assert err.startswith("error: 64-QAM reference: ZF needs n_antennas")
         assert not (out / "sweep.json").exists()
 
+    @pytest.mark.parametrize("command, flags", [
+        # a 10^8-PAM user would hold about 12 GiB with 100 symbols
+        *[(command, ["--users", "1x100000000pam", "--methods", "ZF"])
+          for command in ("sweep", "rate", "csi")],
+        ("rate", ["--csi-var", "1e308"]),
+    ], ids=["sweep-pam-order", "rate-pam-order", "csi-pam-order", "rate-csi-var"])
+    def test_over_cap_input_exits_2_before_sweeping(self, tmp_path, capsys, monkeypatch,
+                                                    command, flags):
+        def fail_run_sweep(*args, **kwargs):
+            raise AssertionError("run_sweep called")
+
+        monkeypatch.setattr(sim, "run_sweep", fail_run_sweep)
+        out = tmp_path / command
+        rc = cli.main([command, *FAST_ARGS, *flags, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["sweep", "rate", "csi"])
+    def test_unwritable_out_exits_2_before_sweeping(self, tmp_path, capsys, monkeypatch,
+                                                    command):
+        def fail_run_sweep(*args, **kwargs):
+            raise AssertionError("run_sweep called")
+
+        monkeypatch.setattr(sim, "run_sweep", fail_run_sweep)
+        (tmp_path / "file").write_text("")
+        rc = cli.main([command, *FAST_ARGS, "--out", str(tmp_path / "file" / "run")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: cannot write to the output directory")
+        assert err.count("\n") == 1
+
 
 NUMBER_TEXT = st.one_of(
     st.sampled_from(["0", "-0", "1", "5", "40", "1e-300", "1e308", "inf", "nan", "1e999"]),
@@ -527,3 +573,49 @@ class TestScenarioFileProperties:
     @given(text=SCENARIO_TEXT)
     def test_scenario_lines(self, text):
         self._build(text.encode())
+
+
+class TestSolverImport:
+    """scipy.optimize loads only in runs that solve a convex program. Each
+    test runs a fresh interpreter, because this one has loaded it already."""
+
+    @staticmethod
+    def _run(code: str, tmp_path) -> list:
+        """The words of the last line that ``code`` prints."""
+        proc = _python("-c", textwrap.dedent(code), cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.splitlines()[-1].split()
+
+    def test_importing_the_cli_loads_no_solver(self, tmp_path):
+        # perfbench's tracer reads beamsim.convex and beamsim.checks from
+        # sys.modules right after importing beamsim.cli
+        assert self._run("""
+            import sys
+            import beamsim.cli
+            print(*(name in sys.modules
+                    for name in ("scipy.optimize", "beamsim.convex", "beamsim.checks")))
+        """, tmp_path) == ["False", "True", "True"]
+
+    def test_csi_run_loads_no_solver(self, tmp_path):
+        assert self._run(f"""
+            import sys
+            from beamsim import cli
+            rc = cli.main(["csi", *{FAST_ARGS!r}, "--threads", "1", "--out", "run"])
+            print(rc, "scipy.optimize" in sys.modules)
+        """, tmp_path) == ["0", "False"]
+
+    def test_solving_run_loads_the_solver_before_its_first_draw(self, tmp_path):
+        assert self._run(f"""
+            import sys
+            from beamsim import channel, cli
+            sample_channel, loaded = channel.sample_channel, []
+
+            def spy(*args, **kwargs):
+                loaded.append("scipy.optimize" in sys.modules)
+                return sample_channel(*args, **kwargs)
+
+            channel.sample_channel = spy
+            rc = cli.main(["sweep", *{FAST_ARGS!r}, "--methods", "MPE_FULL",
+                           "--realizations", "1", "--threads", "1", "--out", "run"])
+            print(rc, loaded[0])
+        """, tmp_path) == ["0", "True"]

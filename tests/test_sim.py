@@ -53,6 +53,7 @@ class TestScenario:
         dict(snr_grid_db=()), dict(snr_grid_db=(0.0, math.nan)),
         dict(csi_error_var=math.inf), dict(users=()), dict(snr_grid_db=(0.0, 101.0)),
         dict(methods=(sim.ZF, sim.ZF)), dict(snr_grid_db=(0.0, 0.0)),
+        dict(csi_error_var=1e308),
     ])
     def test_rejects_what_the_schema_rules_out(self, bad):
         with pytest.raises(ValueError):
@@ -65,6 +66,12 @@ class TestScenario:
         # 1.48 GiB of interferer tuple sets and 0.6 GiB of result arrays
         dict(n_antennas=20, users=(modem.unit_energy_pam(2),) * 20, methods=(sim.ZF,),
              snr_grid_db=tuple(range(100)), n_realizations=10_000, n_symbols=0),
+        # 10^8-PAM: three 0.8 GB arrays of symbol values and thresholds
+        dict(n_antennas=1, users=(modem.unit_energy_pam(10**8),), methods=(sim.ZF,),
+             n_realizations=1, n_symbols=10),
+        # 10^6-PAM: detection compares 10^6 thresholds with 3000 symbols, 3 GB
+        dict(n_antennas=1, users=(modem.unit_energy_pam(10**6),), methods=(sim.ZF,),
+             n_realizations=1, n_symbols=3000),
     ])
     def test_working_set_cap(self, kw):
         with pytest.raises(ValueError, match="GiB, above the cap"):
