@@ -111,18 +111,6 @@ def pe_upper_bound(
     return 2.0 * (L - 1) / L * float(q_function(arg))
 
 
-def sminr_amp(
-    w: np.ndarray, H: np.ndarray, k: int, constellations, sigma_z: float
-) -> float:
-    """Amplitude-based signal minus interference to noise ratio.
-
-    Reduced margin divided by sigma_z / sqrt(2). Not normalized by ||w||: the
-    metric is defined for (and maximized over) the unit ball.
-    """
-    _, self_term, cross, tuple_set = _gains(w, H, k, constellations)
-    return _reduced_margin(self_term, cross, tuple_set) / (sigma_z / _SQRT2)
-
-
 def sminr_power(
     w: np.ndarray, H: np.ndarray, k: int, constellations, sigma_z: float
 ) -> float:

@@ -111,7 +111,8 @@ def check_convex_combination_feasibility(rng, quick):
     cs = [modem.unit_energy_pam(4) for _ in range(3)]
     for _ in range(n):
         H = channel.sample_channel(4, 3, rng)
-        margin, w_feas = convex.feasibility_phase(H, 0, cs)
+        # the maximum-margin weights; None when no weight has a positive margin
+        w_feas = convex.solve(convex.ConvexProgram(convex.SMINR_AMP, H, 0, cs, 1.0)).weights
         if w_feas is None:
             continue
         # second feasible point: shrink toward the max-margin point
@@ -197,7 +198,7 @@ def check_objective_convexity(rng, quick):
     for _ in range(n):
         H = channel.sample_channel(4, 3, rng)
         program = convex.ConvexProgram(convex.MPE_FULL, H, 0, cs, sigma_z=0.7)
-        margin, w_feas = convex.feasibility_phase(H, 0, cs)
+        w_feas = convex.solve(convex.ConvexProgram(convex.SMINR_AMP, H, 0, cs, 1.0)).weights
         if w_feas is None:
             continue
         w1 = convex.random_feasible_start(program, rng, beamformers.lift_weights(w_feas))

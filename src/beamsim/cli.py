@@ -158,7 +158,8 @@ def _make_out_dir(out_dir) -> None:
 
 
 def _write_outputs(out_dir, scenario, results, csi_vars=None):
-    """Write sweep.csv, sweep.json and manifest.json for the rows of ``results``.
+    """Write sweep.csv, sweep.json and manifest.json for the rows of ``results``
+    into the existing directory ``out_dir``.
 
     The row columns are the SweepRow fields in order and the scenario object
     is ``dataclasses.asdict(scenario)``. CSV numbers are written with 17
@@ -179,7 +180,6 @@ def _write_outputs(out_dir, scenario, results, csi_vars=None):
             rows.append({c: None if isinstance(v, float) and math.isnan(v) else v
                          for c, v in row.items()})
     scenario_dict = dataclasses.asdict(scenario)
-    os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, "sweep.csv")
     json_path = os.path.join(out_dir, "sweep.json")
     canonical = json.dumps(scenario_dict, sort_keys=True).encode()
@@ -221,7 +221,7 @@ def cmd_rate(args) -> int:
     _make_out_dir(args.out)
     n_workers = _n_workers(args)
     result = sim.run_sweep(scenario, n_workers=n_workers)
-    qam = sim.qam_reference_sweep(qam_scenario, qam_order=64, n_workers=n_workers)
+    qam = sim.qam_reference_sweep(qam_scenario, n_workers=n_workers)
     print(f"wrote {_write_outputs(args.out, scenario, [result, qam])}")
     return 0
 
@@ -233,16 +233,16 @@ def cmd_csi(args) -> int:
     _make_out_dir(args.out)
     n_workers = _n_workers(args)
     variances = (0.0, 0.001, 0.01)
-    results = [
-        sim.imperfect_csi_sweep(dataclasses.replace(scenario, csi_error_var=var),
-                                n_workers=n_workers)
-        for var in variances
-    ]
+    results = [sim.run_sweep(dataclasses.replace(scenario, csi_error_var=var),
+                             n_workers=n_workers)
+               for var in variances]
     print(f"wrote {_write_outputs(args.out, scenario, results, csi_vars=variances)}")
     return 0
 
 
 def cmd_check(args) -> int:
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be an integer >= 0, got {args.seed}")
     results = checks.run_checks(quick=args.quick, seed=args.seed)
     width = max(len(name) for name, _, _ in results)
     failures = 0

@@ -182,19 +182,6 @@ def _mpe_evaluate(program: ConvexProgram, w_bar: np.ndarray):
     return value, grad, weights
 
 
-def feasibility_phase(H: np.ndarray, k: int, constellations):
-    """Maximize the reduced margin over the unit ball.
-
-    Returns (max_margin, w_feas) where w_feas is the maximizing unit-norm
-    complex weight vector. When no direction attains a positive margin the
-    maximum is 0 (attained at w = 0): the result is then (max_margin, None)
-    with max_margin the certified BVLS value, below ``TOL_FEAS``.
-    """
-    program = ConvexProgram(SMINR_AMP, H, k, tuple(constellations), sigma_z=1.0)
-    feas = _maximize_margin(program)
-    return feas.margin, None if feas.w_bar is None else unlift_weights(feas.w_bar)
-
-
 def _maximize_margin(program: ConvexProgram) -> Feasibility:
     """Maximum of a . w - sum_j |u_j . w| over ||w|| <= 1, by bounded least squares.
 

@@ -132,24 +132,10 @@ class SweepResult:
     scenario: Scenario
     rows: list
 
-    def row(self, method: str, snr_db: float) -> SweepRow:
-        for r in self.rows:
-            if r.method == method and r.snr_db == snr_db:
-                return r
-        raise KeyError((method, snr_db))
-
-    def series(self, method: str):
-        return [r for r in self.rows if r.method == method]
-
 
 def snr_db_to_sigma(snr_db: float) -> float:
     """Noise std for unit-energy symbols: SNR(dB) = 10 log10(1 / sigma_z^2)."""
     return 10.0 ** (-snr_db / 20.0)
-
-
-def sum_rate(ser_per_user, constellations) -> float:
-    """Goodput proxy sum_k log2(L_k) (1 - SER_k) in bits per channel use."""
-    return _goodput(ser_per_user, [c.bits_per_symbol for c in constellations])
 
 
 def _goodput(ser_per_user, bits) -> float:
@@ -326,17 +312,6 @@ def run_sweep(scenario: Scenario, n_workers: int = 1) -> SweepResult:
     return SweepResult(scenario, _sweep_rows(scenario, scenario.methods, bits, *arrays))
 
 
-def imperfect_csi_sweep(scenario: Scenario, n_workers: int = 1) -> SweepResult:
-    """Sweep with beamformers computed from perturbed CSI.
-
-    Restricted to the closed-form methods compared in the imperfect-CSI
-    experiment; csi_error_var = 0 reduces exactly to ``run_sweep``.
-    """
-    if not set(scenario.methods) <= set(CSI_METHODS):
-        raise ValueError(f"imperfect-CSI sweep supports methods {sorted(CSI_METHODS)}")
-    return run_sweep(scenario, n_workers=n_workers)
-
-
 def _run_qam_realization(scenario: Scenario, r_index: int, methods, axis):
     """QAM symbol errors of one realization; each QAM coordinate is an ``axis``
     PAM symbol. pe and bound are NaN, no instance is infeasible."""
@@ -364,30 +339,24 @@ def _run_qam_realization(scenario: Scenario, r_index: int, methods, axis):
     return errors, nan, nan, np.zeros_like(errors)
 
 
-def qam_reference_sweep(scenario: Scenario, qam_order: int = 64,
-                        n_workers: int = 1) -> SweepResult:
-    """ZF/MMSE reference curves for two users with square-QAM modulation.
+def qam_reference_sweep(scenario: Scenario, n_workers: int = 1) -> SweepResult:
+    """ZF/MMSE reference curves for two users with 64-QAM modulation.
 
-    Each QAM symbol is two independent PAM coordinates; detection divides
-    the array output by the effective complex gain and quantizes each axis.
-    SER is counted at the QAM-symbol level; analytic 1D error probabilities
-    do not apply and are reported as NaN.
+    Each 64-QAM symbol is two independent 8-PAM coordinates, 6 bits in all;
+    detection divides the array output by the effective complex gain and
+    quantizes each axis. SER is counted at the QAM-symbol level; analytic 1D
+    error probabilities do not apply and are reported as NaN.
     """
-    side = math.isqrt(qam_order)
-    if side * side != qam_order:
-        raise ValueError(f"QAM order {qam_order} is not a perfect square")
     K = len(scenario.users)
     if K != 2:
         raise ValueError("the QAM reference is defined for K = 2 users")
     if scenario.n_symbols < 1:
         raise ValueError("the QAM reference counts symbol errors and needs n_symbols >= 1")
-    # per-axis PAM scaled for unit average QAM symbol energy
-    axis = modem.Constellation(
-        order=side, half_spacing=math.sqrt(3.0 / (2.0 * (side**2 - 1))),
-        pulse_energy=1.0,
-    )
+    # per-axis 8-PAM scaled for unit average 64-QAM symbol energy
+    axis = modem.Constellation(order=8, half_spacing=math.sqrt(3.0 / (2.0 * 63)),
+                               pulse_energy=1.0)
     methods = [m for m in scenario.methods if m in (ZF, MMSE)]
     arrays = _map_realizations(_run_qam_realization, scenario, n_workers, methods, axis)
     labels = [f"{m}-QAM" for m in methods]
-    return SweepResult(scenario, _sweep_rows(scenario, labels, [math.log2(qam_order)] * K,
-                                             *arrays))
+    bits = [2 * axis.bits_per_symbol] * K
+    return SweepResult(scenario, _sweep_rows(scenario, labels, bits, *arrays))

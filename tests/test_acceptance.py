@@ -21,6 +21,7 @@ from beamsim import (
     modem,
     sim,
 )
+import support
 
 
 # the rows are bit-identical for any worker count, so the two long sweeps
@@ -94,9 +95,9 @@ def test_criterion_03_gain_over_baselines():
     )
     res = sim.run_sweep(scenario, n_workers=TWO_WORKERS)
     level = 2.3e-2
-    x_prop = _crossing_snr(res.series(sim.SMINR), level)
+    x_prop = _crossing_snr(support.series(res, sim.SMINR), level)
     gaps = [
-        _crossing_snr(res.series(m), level) - x_prop for m in (sim.ZF, sim.MMSE)
+        _crossing_snr(support.series(res, m), level) - x_prop for m in (sim.ZF, sim.MMSE)
     ]
     ok = all(7.5 <= g <= 10.5 for g in gaps)
     report(3, ok, f"gaps vs ZF/MMSE = {gaps[0]:.2f}/{gaps[1]:.2f} dB (window [7.5, 10.5])")
@@ -111,7 +112,7 @@ def test_criterion_04_proposed_methods_cluster(default_sweep):
     for snr in res.scenario.snr_grid_db:
         if snr >= 30:
             continue
-        pes = [res.row(m, snr).pe_analytic for m in proposed]
+        pes = [support.row(res, m, snr).pe_analytic for m in proposed]
         spreads[snr] = (max(pes) - min(pes)) / min(pes)
     # at 30 dB the per-realization Pe is heavy-tailed, so the average needs
     # more channel draws before the method means separate from sampling noise
@@ -123,7 +124,7 @@ def test_criterion_04_proposed_methods_cluster(default_sweep):
         seed=0,
     )
     res30 = sim.run_sweep(high, n_workers=TWO_WORKERS)
-    pes = [res30.row(m, 30.0).pe_analytic for m in proposed]
+    pes = [support.row(res30, m, 30.0).pe_analytic for m in proposed]
     spreads[30.0] = (max(pes) - min(pes)) / min(pes)
     worst = max(spreads.values())
     ok = worst <= 0.10
@@ -141,13 +142,13 @@ def test_criterion_05_program_equivalence():
     done = 0
     while done < 100:
         H = channel.sample_channel(4, 4, rng)
-        margin, w_feas = convex.feasibility_phase(H, 0, cs)
-        if margin <= convex.TOL_FEAS:
+        amp = convex.solve(convex.ConvexProgram(convex.SMINR_AMP, H, 0, cs, 1.0))
+        if amp.feasibility.margin <= convex.TOL_FEAS:
             continue
         rep_f = convex.solve(convex.ConvexProgram(convex.MPE_FULL, H, 0, cs, sigma))
         rep_r = convex.solve(convex.ConvexProgram(convex.MPE_REDUCED, H, 0, cs, sigma))
         worst_obj = max(worst_obj, abs(rep_f.objective_value - rep_r.objective_value))
-        for w in (rep_f.weights, rep_r.weights, w_feas):
+        for w in (rep_f.weights, rep_r.weights, amp.weights):
             full, reduced = analysis.feasibility_margins(w, H, 0, cs)
             worst_margin = max(worst_margin, abs(np.min(full) - reduced))
         done += 1
@@ -172,13 +173,12 @@ def test_criterion_06_unique_minimizer():
     done = 0
     while done < 50:
         H = channel.sample_channel(4, 4, rng)
-        margin, w_feas = convex.feasibility_phase(H, 0, cs)
-        if margin <= convex.TOL_FEAS:
+        feas = convex.solve(convex.ConvexProgram(convex.SMINR_AMP, H, 0, cs, 1.0)).feasibility
+        if feas.margin <= convex.TOL_FEAS:
             continue
         prog = convex.ConvexProgram(convex.MPE_FULL, H, 0, cs, sigma)
-        w_bar = beamformers.lift_weights(w_feas)
         reps = [
-            convex.solve(prog, start=convex.random_feasible_start(prog, rng, w_feas=w_bar))
+            convex.solve(prog, start=convex.random_feasible_start(prog, rng, w_feas=feas.w_bar))
             for _ in range(2)
         ]
         ws = [beamformers.align_phase(r.weights, H[:, 0]) for r in reps]
@@ -306,7 +306,7 @@ def test_criterion_11_sum_rate_ceiling():
         methods=(sim.ZF, sim.MMSE),
         seed=11,
     )
-    qam = sim.qam_reference_sweep(qam_scenario, qam_order=64)
+    qam = sim.qam_reference_sweep(qam_scenario)
     qam_best = max(r.sum_rate for r in qam.rows)
     ok = all(v >= 11.5 for v in rates.values()) and qam_best >= 11.5
     report(
@@ -327,7 +327,7 @@ def test_criterion_12_imperfect_csi_ordering():
         methods=(sim.ZF, sim.MMSE, sim.SMINR),
         seed=12,
     )
-    res = sim.imperfect_csi_sweep(scenario)
+    res = sim.run_sweep(scenario)
     ser = {r.method: r.ser for r in res.rows}
     ok = ser[sim.SMINR] * 10 <= ser[sim.ZF] and ser[sim.SMINR] * 10 <= ser[sim.MMSE]
     report(

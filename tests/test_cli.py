@@ -3,8 +3,6 @@ import dataclasses
 import json
 import math
 import os
-import subprocess
-import sys
 import tempfile
 import textwrap
 from pathlib import Path
@@ -15,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beamsim import checks, cli, modem, sim
+from support import run_python
 
 SCHEMA = json.loads(
     (Path(sim.__file__).parent / "schemas" / "sweep.schema.json").read_text()
@@ -38,15 +37,6 @@ FAST_ARGS = [
     "--seed",
     "1",
 ]
-
-
-def _python(*args, cwd=None) -> subprocess.CompletedProcess:
-    """Run a fresh interpreter that imports this checkout's beamsim."""
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, *args], env=env, cwd=cwd, capture_output=True,
-                          text=True, timeout=120)
 
 
 class TestParsing:
@@ -224,9 +214,7 @@ class TestCommands:
         scenario = cli.build_scenario(ns)
         expected = []
         for var in (0.0, 0.001, 0.01):
-            rows = sim.imperfect_csi_sweep(
-                dataclasses.replace(scenario, csi_error_var=var)
-            ).rows
+            rows = sim.run_sweep(dataclasses.replace(scenario, csi_error_var=var)).rows
             # the row format of the CSV, written out field by field as the reference
             expected += [
                 f"{var:.17g},{r.method},{r.snr_db:.17g},{r.ser:.17g},{r.ser_ci:.17g},"
@@ -268,7 +256,7 @@ class TestCommands:
         assert seen == [seed]
 
     def test_python_dash_m_entry_point(self):
-        proc = _python("-m", "beamsim", "check", "--quick")
+        proc = run_python("-m", "beamsim", "check", "--quick")
         assert proc.returncode == 0, proc.stderr
         assert "checks passed" in proc.stdout
 
@@ -389,6 +377,16 @@ class TestRefusals:
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: csi takes only the methods")
         assert not (out / "sweep.json").exists()
+
+    def test_negative_check_seed_exits_2_before_checking(self, capsys, monkeypatch):
+        def fail_run_checks(*args, **kwargs):
+            raise AssertionError("run_checks called")
+
+        monkeypatch.setattr(checks, "run_checks", fail_run_checks)
+        rc = cli.main(["check", "--quick", "--seed", "-1"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_csi_has_no_csi_var_flag(self, tmp_path):
         # csi sweeps its own variances, so a given one would be ignored
@@ -582,7 +580,7 @@ class TestSolverImport:
     @staticmethod
     def _run(code: str, tmp_path) -> list:
         """The words of the last line that ``code`` prints."""
-        proc = _python("-c", textwrap.dedent(code), cwd=tmp_path)
+        proc = run_python("-c", textwrap.dedent(code), cwd=tmp_path)
         assert proc.returncode == 0, proc.stderr
         return proc.stdout.splitlines()[-1].split()
 

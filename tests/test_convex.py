@@ -6,6 +6,7 @@ from scipy.optimize import linprog, minimize
 from scipy.special import erfc
 
 from beamsim import analysis, beamformers, channel, convex, modem, sim
+from support import sminr_amp
 
 
 def make_program(seed, kind, N=4, K=3, order=8, sigma=0.1, k=0):
@@ -115,12 +116,12 @@ class TestObjective:
     def test_convexity_along_segments(self):
         # midpoint value never exceeds chord average on feasible segments
         prog, _, _ = make_program(8, convex.MPE_FULL, sigma=0.15)
-        margin, w_feas = convex.feasibility_phase(prog.H, prog.user, prog.constellations)
-        assert margin > 0
+        feas = convex._maximize_margin(prog)
+        assert feas.margin > 0
         rng = np.random.default_rng(9)
         for _ in range(50):
-            x = convex.random_feasible_start(prog, rng, w_feas=beamformers.lift_weights(w_feas))
-            y = convex.random_feasible_start(prog, rng, w_feas=beamformers.lift_weights(w_feas))
+            x = convex.random_feasible_start(prog, rng, w_feas=feas.w_bar)
+            y = convex.random_feasible_start(prog, rng, w_feas=feas.w_bar)
             fx, _ = convex.objective_and_gradient(prog, x)
             fy, _ = convex.objective_and_gradient(prog, y)
             fm, _ = convex.objective_and_gradient(prog, (x + y) / 2)
@@ -248,9 +249,9 @@ class TestSolve:
     def test_unique_minimizer_from_random_starts(self):
         prog, H, cs = make_program(30, convex.MPE_FULL, sigma=0.1)
         rng = np.random.default_rng(31)
-        _, w_feas = convex.feasibility_phase(H, 0, cs)
+        w_feas = convex._maximize_margin(prog).w_bar
         reps = [
-            convex.solve(prog, start=convex.random_feasible_start(prog, rng, w_feas=beamformers.lift_weights(w_feas)))
+            convex.solve(prog, start=convex.random_feasible_start(prog, rng, w_feas=w_feas))
             for _ in range(3)
         ]
         ws = [beamformers.align_phase(r.weights, H[:, 0]) for r in reps]
@@ -261,15 +262,14 @@ class TestSolve:
         prog, H, cs = make_program(33, convex.SMINR_AMP, sigma=0.2)
         rep = convex.solve(prog)
         assert rep.status == convex.OPTIMAL
-        amp_prog = analysis.sminr_amp(rep.weights, H, 0, cs, 0.2)
+        amp_prog = sminr_amp(rep.weights, H, 0, cs, 0.2)
         # the amplitude maximizer dominates the power-form eigenvector on
         # amplitude (they optimize different scalarizations of the margin)
         w_cf = beamformers.sminr_closed_form(H, 0, cs)
-        amp_cf = analysis.sminr_amp(w_cf, H, 0, cs, 0.2)
+        amp_cf = sminr_amp(w_cf, H, 0, cs, 0.2)
         assert amp_prog >= amp_cf - 1e-10
         # and equals the maximum feasibility margin scaled by the noise
-        margin, _ = convex.feasibility_phase(H, 0, cs)
-        assert amp_prog == pytest.approx(margin / prog.noise_scale, rel=1e-8)
+        assert amp_prog == pytest.approx(rep.feasibility.margin / prog.noise_scale, rel=1e-8)
 
     def test_infeasible_instance_reported(self):
         # more users than antennas with large constellations: no intersection
@@ -374,17 +374,17 @@ class TestFeasibility:
         for _ in range(10):
             H = channel.sample_channel(6, 2, rng)
             cs = [modem.unit_energy_pam(4)] * 2
-            margin, w = convex.feasibility_phase(H, 0, cs)
-            assert margin > 0
-            _, reduced = analysis.feasibility_margins(w, H, 0, cs)
-            assert reduced == pytest.approx(margin, rel=1e-8)
+            rep = convex.solve(convex.ConvexProgram(convex.SMINR_AMP, H, 0, cs, 1.0))
+            assert rep.feasibility.margin > 0
+            _, reduced = analysis.feasibility_margins(rep.weights, H, 0, cs)
+            assert reduced == pytest.approx(rep.feasibility.margin, rel=1e-8)
 
     def test_random_starts_are_feasible(self):
         prog, H, cs = make_program(37, convex.MPE_FULL)
         rng = np.random.default_rng(38)
-        _, w_feas = convex.feasibility_phase(H, 0, cs)
+        w_feas = convex._maximize_margin(prog).w_bar
         for _ in range(20):
-            x = convex.random_feasible_start(prog, rng, w_feas=beamformers.lift_weights(w_feas))
+            x = convex.random_feasible_start(prog, rng, w_feas=w_feas)
             assert np.linalg.norm(x) <= 1 + 1e-12
             assert prog.reduced_margin(x) > 0
 
@@ -453,15 +453,15 @@ class TestBvlsFeasibility:
         # 8-PAM interferers on this draw (nor on almost any other)
         H = channel.sample_channel(1, 4, np.random.default_rng(45))
         cs = [modem.unit_energy_pam(8)] * 4
-        margin, w_feas = convex.feasibility_phase(H, 0, cs)
-        assert w_feas is None
-        assert 0.0 <= margin < convex.TOL_FEAS
+        feas = convex._maximize_margin(convex.ConvexProgram(convex.SMINR_AMP, H, 0, cs, 1.0))
+        assert feas.w_bar is None
+        assert 0.0 <= feas.margin < convex.TOL_FEAS
         for kind in (convex.MPE_FULL, convex.MPE_REDUCED, convex.SMINR_AMP):
             rep = convex.solve(convex.ConvexProgram(kind, H, 0, cs, 0.1))
             assert rep.status == convex.INFEASIBLE
             assert rep.weights is None
             assert math.isnan(rep.kkt_residual)
-            assert rep.margin == margin
+            assert rep.margin == feas.margin
 
     def test_shared_feasibility_gives_identical_solve(self):
         prog_amp, H, cs = make_program(46, convex.SMINR_AMP, sigma=1.0)
