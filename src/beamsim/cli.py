@@ -157,21 +157,21 @@ def _make_out_dir(out_dir) -> None:
         raise ConfigError(f"cannot write to the output directory: {exc}") from None
 
 
-def _write_outputs(out_dir, scenario, results, csi_vars=None):
-    """Write sweep.csv, sweep.json and manifest.json for the rows of ``results``
-    into the existing directory ``out_dir``.
+def _write_outputs(out_dir, scenario, row_lists, csi_vars=None):
+    """Write sweep.csv, sweep.json and manifest.json for the SweepRow lists of
+    ``row_lists``, one per sweep, into the existing directory ``out_dir``.
 
     The row columns are the SweepRow fields in order and the scenario object
     is ``dataclasses.asdict(scenario)``. CSV numbers are written with 17
     significant digits; JSON writes NaN as null. ``csi_vars`` gives one CSI
-    error variance per result; it becomes the leading CSV column and the
+    error variance per sweep; it becomes the leading CSV column and the
     trailing key of each JSON row.
     """
     columns = [f.name for f in dataclasses.fields(sim.SweepRow)]
     header = columns if csi_vars is None else ["csi_var", *columns]
     lines, rows = [",".join(header)], []
-    for i, result in enumerate(results):
-        for r in result.rows:
+    for i, sweep_rows in enumerate(row_lists):
+        for r in sweep_rows:
             row = dataclasses.asdict(r)
             if csi_vars is not None:
                 row["csi_var"] = csi_vars[i]
@@ -202,8 +202,8 @@ def _write_outputs(out_dir, scenario, results, csi_vars=None):
 def cmd_sweep(args) -> int:
     scenario = build_scenario(args)
     _make_out_dir(args.out)
-    result = sim.run_sweep(scenario, n_workers=_n_workers(args))
-    print(f"wrote {_write_outputs(args.out, scenario, [result])}")
+    rows = sim.run_sweep(scenario, n_workers=_n_workers(args))
+    print(f"wrote {_write_outputs(args.out, scenario, [rows])}")
     return 0
 
 
@@ -220,9 +220,9 @@ def cmd_rate(args) -> int:
         raise ConfigError(f"64-QAM reference: {exc}") from exc
     _make_out_dir(args.out)
     n_workers = _n_workers(args)
-    result = sim.run_sweep(scenario, n_workers=n_workers)
+    rows = sim.run_sweep(scenario, n_workers=n_workers)
     qam = sim.qam_reference_sweep(qam_scenario, n_workers=n_workers)
-    print(f"wrote {_write_outputs(args.out, scenario, [result, qam])}")
+    print(f"wrote {_write_outputs(args.out, scenario, [rows, qam])}")
     return 0
 
 
@@ -233,10 +233,10 @@ def cmd_csi(args) -> int:
     _make_out_dir(args.out)
     n_workers = _n_workers(args)
     variances = (0.0, 0.001, 0.01)
-    results = [sim.run_sweep(dataclasses.replace(scenario, csi_error_var=var),
-                             n_workers=n_workers)
-               for var in variances]
-    print(f"wrote {_write_outputs(args.out, scenario, results, csi_vars=variances)}")
+    row_lists = [sim.run_sweep(dataclasses.replace(scenario, csi_error_var=var),
+                               n_workers=n_workers)
+                 for var in variances]
+    print(f"wrote {_write_outputs(args.out, scenario, row_lists, csi_vars=variances)}")
     return 0
 
 

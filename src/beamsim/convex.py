@@ -1,38 +1,36 @@
 """Convex programs for error-probability-optimal receive beamforming.
 
-Three programs over the lifted real weight vector w_bar in R^{2N}:
+Three programs over the lifted real weight vector w_bar in R^{2N}, on one
+feasible set: ||w|| <= 1 and the 2^(K-1) tuple rows with every interferer
+at a peak symbol nonnegative. Every tuple lies in the box the peak tuples
+span and each row is affine in the tuple, so these rows cut out the set of
+all tuple rows; their minimum is the reduced margin.
 
-* MPE_FULL     -- minimize the exact Q-sum error probability subject to
-                  ||w|| <= 1 and one nonnegativity constraint per interferer
-                  tuple.
-* MPE_REDUCED  -- same objective and feasible set, constrained only by the
-                  2^(K-1) tuple rows with every interferer at a peak symbol
-                  (jointly equivalent to the single absolute-value margin
-                  constraint).
-* SMINR_AMP    -- maximize the amplitude SMINR over the same feasible set.
+* MPE_FULL, MPE_REDUCED -- minimize the exact Q-sum error probability, one
+                           Q term per interferer tuple (the paper's full
+                           and simplified programs, one program here).
+* SMINR_AMP             -- maximize the amplitude SMINR.
 
-All programs are solved on the lifted real vector where every quantity is a
-function of Re{w h_j} and ||w||. Every solve starts from the feasibility
-phase: the maximum reduced margin over the unit ball, computed exactly as a
-bounded-variable least-squares problem (BVLS) together with a duality-gap
-certificate. It depends only on the channel, the user and the
-constellations, so callers may compute it once and share it across noise
-levels and program kinds. It alone solves SMINR_AMP; an instance without a
-positive margin is INFEASIBLE and gets no weights.
+Every solve starts from the feasibility phase: the maximum reduced margin
+over the unit ball, computed exactly as a bounded-variable least-squares
+problem (BVLS) together with a duality-gap certificate. It depends only on
+the channel, the user and the constellations, so callers may compute it
+once and share it across noise levels and program kinds. It alone solves
+SMINR_AMP; an instance without a positive margin is INFEASIBLE and gets no
+weights.
 
 The MPE optimum lies on the unit sphere, where the feasible set is cut out
-by the homogeneous rows G w >= 0. The MPE programs are solved there by a
-sphere SQP from the maximum-margin point: each iteration takes the exact
+by the homogeneous peak rows G w >= 0. The MPE programs are solved there by
+a sphere SQP from the maximum-margin point: each iteration takes the exact
 Riemannian Newton model in an orthonormal tangent basis, minimizes it
-subject to the linearized margin rows as a least-distance problem solved by
+subject to the linearized peak rows as a least-distance problem solved by
 NNLS, which handles active and degenerate (tied) rows, and backtracks along
 the normalizing retraction. One pass over the tuple rows at a point gives
 the objective, the gradient and the Hessian row weights; the SQP keeps
-those of the accepted point for its next model. The two MPE programs have
-the same optimum, so a caller that solves both at one noise level can
-start the second from the first's optimum (``solve(start=...)``); its SQP
-then stops at the first model check, and its KKT residual is still
-certified against its own rows.
+those of the accepted point for its next model. A caller that solves both
+MPE programs at one noise level can start the second from the first's
+optimum (``solve(start=...)``); its SQP then stops at the first model
+check.
 """
 
 import math
@@ -71,8 +69,9 @@ class ConvexProgram:
 
     Precomputes the lifted data shared by objective, gradient, and
     constraints: the self direction ``a`` (d sqrt(E_g) htilde_k), the peak
-    interferer directions ``U`` (rows s_j(L_j) htilde_j), and the per-tuple
-    constraint matrix ``G`` appropriate for ``kind``.
+    interferer directions ``U`` (rows s_j(L_j) htilde_j), the tuple rows
+    ``G_objective`` of the MPE objective, and the peak rows
+    ``G_constraints`` selected from them, the same for every kind.
     """
 
     kind: str
@@ -104,13 +103,9 @@ class ConvexProgram:
 
         # rows: a - sum_j sbar_b[j] htilde_j, one per interferer tuple
         self.G_objective = self.a[None, :] - tuple_set.tuples @ lifted[:, others].T
-        if self.kind == MPE_FULL:
-            self.G_constraints = self.G_objective
-        else:
-            # the 2^(K-1) rows with every interferer at a peak symbol; their
-            # minimum is the reduced margin
-            extreme = np.all(np.abs(tuple_set.tuples) == tuple_set.peaks, axis=1)
-            self.G_constraints = self.G_objective[extreme]
+        # the 2^(K-1) rows with every interferer at a peak symbol
+        peak = np.all(np.abs(tuple_set.tuples) == tuple_set.peaks, axis=1)
+        self.G_constraints = self.G_objective[peak]
         L = self.constellations[k].order
         self.prefactor = 2.0 * (L - 1) / (L * self.G_objective.shape[0])
 
@@ -228,17 +223,17 @@ def _sphere_sqp(program: ConvexProgram, w0: np.ndarray):
     Sequential quadratic programming on the sphere. Each step d minimizes
     the Riemannian Newton model 1/2 d'Bd + g'Zd (Absil, Mahony & Sepulchre,
     2008), where Z is an orthonormal basis of the tangent space at w and
-    B = Z' hess(f) Z - (g.w) I, subject to the linearized margin rows
+    B = Z' hess(f) Z - (g.w) I, subject to the linearized peak rows
     G (w + Zd) >= 0. On the feasible set hess(f) is positive semidefinite
     and g.w < 0, so B = LL' is positive definite and the step is the
     least-distance problem min ||y|| over E y >= E h - G w with y = L'd + h,
     h = L^-1 Z'g and E = G Z L^-T, solved by NNLS (Lawson & Hanson, 1974,
-    ch. 23). Z' hess(f) Z is formed as (G Z)' diag(weights) (G Z) from the
-    Hessian weights of the current point. The rows are homogeneous, so every
-    point of the retraction (w + aZd)/||w + aZd|| with a in [0, 1] is
-    feasible; an Armijo backtrack picks a. The loop stops when the predicted
-    or the realized decrease reaches the rounding level of f, or after
-    ``_SQP_MAX_ITER`` steps.
+    ch. 23). Z' hess(f) Z is formed as (G_obj Z)' diag(weights) (G_obj Z)
+    from the tuple rows and the Hessian weights of the current point. The
+    rows are homogeneous, so every point of the retraction
+    (w + aZd)/||w + aZd|| with a in [0, 1] is feasible; an Armijo backtrack
+    picks a. The loop stops when the predicted or the realized decrease
+    reaches the rounding level of f, or after ``_SQP_MAX_ITER`` steps.
 
     Returns (w, f, g, trace) with one (iteration, objective, point) trace
     row per accepted step. An objective or gradient that has underflowed to
@@ -262,14 +257,13 @@ def _sphere_sqp(program: ConvexProgram, w0: np.ndarray):
         v[0] += math.copysign(1.0, w[0])
         Z = np.eye(n)[:, 1:] - np.outer(v, v[1:]) * (2.0 / (v @ v))
         GZ = G_obj @ Z
-        GcZ = GZ if G is G_obj else G @ Z
         # B and Z'g scaled by 1/|g.w|, which leaves the step unchanged
         B = (GZ.T * (weights / -gw)) @ GZ + np.eye(n - 1)
         # B >= I, so ||L^-1|| <= 1 and products with L^-1 are as accurate as
         # triangular solves; nnls refuses h and E' if they are not finite
         L_inv = np.linalg.inv(np.linalg.cholesky(B))
         h = L_inv @ (Z.T @ g / -gw)
-        Et = L_inv @ GcZ.T
+        Et = L_inv @ (G @ Z).T
         A = np.vstack([Et, h @ Et - G @ w])
         u, _ = nnls(A, e)
         r = A @ u - e
@@ -298,7 +292,8 @@ def _sphere_sqp(program: ConvexProgram, w0: np.ndarray):
 
 
 def _kkt_residual(program: ConvexProgram, w_bar: np.ndarray, grad: np.ndarray) -> float:
-    """Distance of -grad from the cone spanned by active constraint normals."""
+    """Distance of -grad from the cone spanned by the active peak-row normals
+    and, on the sphere, the sphere normal."""
     from scipy.optimize import nnls
 
     columns = [-2.0 * w_bar] if np.linalg.norm(w_bar) >= 1.0 - 1e-7 else []
@@ -323,9 +318,9 @@ def solve(program: ConvexProgram, start: np.ndarray = None,
     no weights, a nan KKT residual and the certified maximum as ``margin``;
     the caller decides on a fallback. SMINR_AMP is solved by the feasibility
     phase itself and reports its duality gap as ``kkt_residual``. The MPE
-    programs run ``_sphere_sqp``; their ``iterations`` count its steps.
-    ``start`` optionally overrides the MPE warm start with a lifted feasible
-    point.
+    programs run ``_sphere_sqp`` on the peak rows; ``iterations`` counts its
+    steps and ``kkt_residual`` is certified against the same rows. ``start``
+    optionally overrides the MPE warm start with a lifted feasible point.
     """
     feas = feasible if feasible is not None else _maximize_margin(program)
     if feas.w_bar is None:

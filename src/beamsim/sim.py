@@ -97,6 +97,8 @@ class Scenario:
             )
         N, K = self.n_antennas, len(self.users)
         cells = self.n_realizations * len(self.methods) * len(self.snr_grid_db) * K
+        methods = set(self.methods)
+        solves = bool(methods & set(SOLVER_METHODS))
         working_set = (
             16 * N * K  # the channel
             + (48 * N + 16 * K) * self.n_symbols  # one realization's symbol block
@@ -105,8 +107,12 @@ class Scenario:
             + 24 * sum(orders) + (max(orders) - 1) * self.n_symbols
             + 32 * cells  # the four stacked result arrays
             + 8 * (K - 1) * sum(tuple_counts)  # every user's interferer tuple set
-            # one convex program's tuple rows
-            + 16 * N * tuples * bool(set(SOLVER_METHODS) & set(self.methods))
+            + 16 * N * tuples * solves  # one convex program's tuple rows
+            # N^2-sized arrays, at the method that needs most: four complex
+            # N x N for MMSE (also the convex fallback), five real 2N x 2N for
+            # SMINR's eigh and seven for the SQP's tangent basis and Newton matrix
+            + 16 * N * N * max(4 * (solves or MMSE in methods), 10 * (SMINR in methods),
+                               14 * bool(methods & {MPE_FULL, MPE_REDUCED}))
         )
         if working_set > MAX_WORKING_SET_BYTES:
             raise ValueError(
@@ -125,12 +131,6 @@ class SweepRow:
     pe_bound: float
     sum_rate: float
     infeasible_frac: float
-
-
-@dataclass
-class SweepResult:
-    scenario: Scenario
-    rows: list
 
 
 def snr_db_to_sigma(snr_db: float) -> float:
@@ -260,9 +260,8 @@ def _run_realization(scenario: Scenario, r_index: int, tuple_sets):
         sigma_z = snr_db_to_sigma(snr_db)
         if n_sym > 0:
             r_block = channel.add_noise(clean, sigma_z, noise)
-        # user k's lifted optimum of the MPE program solved first at this
-        # sigma_z starts the other MPE kind: both have the same objective and
-        # the same feasible set, hence the same optimum
+        # user k's lifted optimum of the MPE kind solved first at this
+        # sigma_z starts the other kind, which is the same program
         mpe_start = [None] * K
         for mi, method in enumerate(scenario.methods):
             mpe = method in (MPE_FULL, MPE_REDUCED)
@@ -295,8 +294,8 @@ def _run_realization(scenario: Scenario, r_index: int, tuple_sets):
     return errors, pe, bound, infeas
 
 
-def run_sweep(scenario: Scenario, n_workers: int = 1) -> SweepResult:
-    """Run the full Monte-Carlo sweep of a scenario.
+def run_sweep(scenario: Scenario, n_workers: int = 1) -> list:
+    """The SweepRow list of the full Monte-Carlo sweep of a scenario.
 
     Realizations are independent work units; results are reduced in fixed
     realization order so the output is bit-identical for any worker count.
@@ -309,7 +308,7 @@ def run_sweep(scenario: Scenario, n_workers: int = 1) -> SweepResult:
         import scipy.optimize  # noqa: F401
     arrays = _map_realizations(_run_realization, scenario, n_workers, tuple_sets)
     bits = [c.bits_per_symbol for c in scenario.users]
-    return SweepResult(scenario, _sweep_rows(scenario, scenario.methods, bits, *arrays))
+    return _sweep_rows(scenario, scenario.methods, bits, *arrays)
 
 
 def _run_qam_realization(scenario: Scenario, r_index: int, methods, axis):
@@ -339,8 +338,8 @@ def _run_qam_realization(scenario: Scenario, r_index: int, methods, axis):
     return errors, nan, nan, np.zeros_like(errors)
 
 
-def qam_reference_sweep(scenario: Scenario, n_workers: int = 1) -> SweepResult:
-    """ZF/MMSE reference curves for two users with 64-QAM modulation.
+def qam_reference_sweep(scenario: Scenario, n_workers: int = 1) -> list:
+    """ZF/MMSE reference rows for two users with 64-QAM modulation.
 
     Each 64-QAM symbol is two independent 8-PAM coordinates, 6 bits in all;
     detection divides the array output by the effective complex gain and
@@ -359,4 +358,4 @@ def qam_reference_sweep(scenario: Scenario, n_workers: int = 1) -> SweepResult:
     arrays = _map_realizations(_run_qam_realization, scenario, n_workers, methods, axis)
     labels = [f"{m}-QAM" for m in methods]
     bits = [2 * axis.bits_per_symbol] * K
-    return SweepResult(scenario, _sweep_rows(scenario, labels, bits, *arrays))
+    return _sweep_rows(scenario, labels, bits, *arrays)

@@ -26,17 +26,17 @@ def run_python(*args, cwd=None) -> subprocess.CompletedProcess:
                           text=True, timeout=120)
 
 
-def row(result, method: str, snr_db: float):
-    """The row of ``method`` at ``snr_db`` in a ``sim.SweepResult``."""
-    for r in result.rows:
+def row(rows, method: str, snr_db: float):
+    """The row of ``method`` at ``snr_db`` in a sweep's SweepRow list."""
+    for r in rows:
         if r.method == method and r.snr_db == snr_db:
             return r
     raise KeyError((method, snr_db))
 
 
-def series(result, method: str) -> list:
-    """The rows of ``method`` in a ``sim.SweepResult``, in SNR-grid order."""
-    return [r for r in result.rows if r.method == method]
+def series(rows, method: str) -> list:
+    """The rows of ``method`` in a sweep's SweepRow list, in SNR-grid order."""
+    return [r for r in rows if r.method == method]
 
 
 def sminr_amp(w, H, k, constellations, sigma_z: float) -> float:

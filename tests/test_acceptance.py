@@ -39,15 +39,15 @@ def default_sweep():
         snr_grid_db=(0.0, 10.0, 20.0, 30.0),
         methods=sim.ALL_METHODS,
     )
-    return sim.run_sweep(scenario, n_workers=TWO_WORKERS)
+    return scenario, sim.run_sweep(scenario, n_workers=TWO_WORKERS)
 
 
 def test_criterion_01_analytic_matches_monte_carlo(default_sweep):
     """Empirical SER within 3 binomial sigma of the analytic average."""
-    res = default_sweep
-    n_total = res.scenario.n_realizations * res.scenario.n_symbols * len(res.scenario.users)
+    scenario, rows = default_sweep
+    n_total = scenario.n_realizations * scenario.n_symbols * len(scenario.users)
     worst = 0.0
-    for row in res.rows:
+    for row in rows:
         sigma = max(row.ser_ci, math.sqrt(row.pe_analytic * (1 - row.pe_analytic) / n_total))
         pull = abs(row.ser - row.pe_analytic) / sigma
         worst = max(worst, pull)
@@ -108,11 +108,11 @@ def test_criterion_04_proposed_methods_cluster(default_sweep):
     """All four proposed variants sit within 10% of each other."""
     proposed = (sim.MPE_FULL, sim.MPE_REDUCED, sim.SMINR_AMP, sim.SMINR)
     spreads = {}
-    res = default_sweep
-    for snr in res.scenario.snr_grid_db:
+    scenario, rows = default_sweep
+    for snr in scenario.snr_grid_db:
         if snr >= 30:
             continue
-        pes = [support.row(res, m, snr).pe_analytic for m in proposed]
+        pes = [support.row(rows, m, snr).pe_analytic for m in proposed]
         spreads[snr] = (max(pes) - min(pes)) / min(pes)
     # at 30 dB the per-realization Pe is heavy-tailed, so the average needs
     # more channel draws before the method means separate from sampling noise
@@ -295,8 +295,7 @@ def test_criterion_11_sum_rate_ceiling():
         methods=(sim.MPE_FULL, sim.MPE_REDUCED, sim.SMINR_AMP, sim.SMINR),
         seed=11,
     )
-    res = sim.run_sweep(scenario)
-    rates = {r.method: r.sum_rate for r in res.rows}
+    rates = {r.method: r.sum_rate for r in sim.run_sweep(scenario)}
     qam_scenario = sim.Scenario(
         n_antennas=4,
         users=(modem.unit_energy_pam(8),) * 2,
@@ -307,7 +306,7 @@ def test_criterion_11_sum_rate_ceiling():
         seed=11,
     )
     qam = sim.qam_reference_sweep(qam_scenario)
-    qam_best = max(r.sum_rate for r in qam.rows)
+    qam_best = max(r.sum_rate for r in qam)
     ok = all(v >= 11.5 for v in rates.values()) and qam_best >= 11.5
     report(
         11,
@@ -327,8 +326,7 @@ def test_criterion_12_imperfect_csi_ordering():
         methods=(sim.ZF, sim.MMSE, sim.SMINR),
         seed=12,
     )
-    res = sim.run_sweep(scenario)
-    ser = {r.method: r.ser for r in res.rows}
+    ser = {r.method: r.ser for r in sim.run_sweep(scenario)}
     ok = ser[sim.SMINR] * 10 <= ser[sim.ZF] and ser[sim.SMINR] * 10 <= ser[sim.MMSE]
     report(
         12,

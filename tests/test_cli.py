@@ -214,7 +214,7 @@ class TestCommands:
         scenario = cli.build_scenario(ns)
         expected = []
         for var in (0.0, 0.001, 0.01):
-            rows = sim.run_sweep(dataclasses.replace(scenario, csi_error_var=var)).rows
+            rows = sim.run_sweep(dataclasses.replace(scenario, csi_error_var=var))
             # the row format of the CSV, written out field by field as the reference
             expected += [
                 f"{var:.17g},{r.method},{r.snr_db:.17g},{r.ser:.17g},{r.ser_ci:.17g},"
@@ -235,12 +235,16 @@ class TestCommands:
         assert relative.keys() == manifest.keys()
         assert all(relative[key] == manifest[key] for key in manifest if key != "created_unix")
 
-    def test_check_quick(self, capsys):
-        rc = cli.main(["check", "--quick"])
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert "PASS" in out
-        assert "FAIL" not in out
+    def test_check_quick(self, monkeypatch, capsys):
+        # the report format and exit code 1; criterion 9 runs the real suite
+        def fake_run_checks(quick, seed):
+            assert quick
+            return [("holds", True, "fine"), ("breaks", False, "off by one")]
+
+        monkeypatch.setattr(checks, "run_checks", fake_run_checks)
+        assert cli.main(["check", "--quick"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == ["holds   PASS  fine", "breaks  FAIL  off by one", "1/2 checks passed"]
 
     @pytest.mark.parametrize("flags, seed", [([], 12345), (["--seed", "0"], 0),
                                              (["--seed", "7"], 7)])
@@ -256,9 +260,11 @@ class TestCommands:
         assert seen == [seed]
 
     def test_python_dash_m_entry_point(self):
-        proc = run_python("-m", "beamsim", "check", "--quick")
-        assert proc.returncode == 0, proc.stderr
-        assert "checks passed" in proc.stdout
+        # the exit code of main() reaches the shell
+        proc = run_python("-m", "beamsim", "check", "--seed", "-1")
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: ")
+        assert proc.stderr.count("\n") == 1
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         rc = cli.main(["sweep", "--snr", "bogus", "--out", str(tmp_path / "x")])
@@ -412,8 +418,9 @@ class TestRefusals:
                                                                monkeypatch):
         # by arithmetic, 10^9 symbols on four antennas need about 238 GiB, and
         # 20 users' interferer tuple sets (1.48 GiB) with the result arrays
-        # (0.6 GiB) about 2.08 GiB, so the sweep must never start, not even
-        # when the cap is broken
+        # (0.6 GiB) about 2.08 GiB, and MMSE's covariance on 20000 antennas
+        # alone 6 GiB, so the sweep must never start, not even when the cap is
+        # broken
         def fail_run_sweep(*args, **kwargs):
             raise AssertionError("run_sweep called")
 
@@ -422,6 +429,8 @@ class TestRefusals:
             ["--symbols", "1000000000"],
             ["--users", "20x2pam", "--antennas", "20", "--methods", "ZF", "--symbols", "0",
              "--snr", "0:1:99", "--realizations", "10000"],
+            ["--antennas", "20000", "--users", "1x2pam", "--methods", "MMSE", "--symbols", "0",
+             "--snr", "0", "--realizations", "1"],
         ]):
             out = tmp_path / f"run{i}"
             rc = cli.main(["sweep", *args, "--out", str(out)])

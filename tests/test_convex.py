@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.optimize import linprog, minimize
+from scipy.optimize import linprog, minimize, nnls
 from scipy.special import erfc
 
 from beamsim import analysis, beamformers, channel, convex, modem, sim
@@ -18,10 +18,13 @@ def make_program(seed, kind, N=4, K=3, order=8, sigma=0.1, k=0):
 
 class TestProgramSetup:
     def test_dimension_and_tuple_counts(self):
-        prog, _, _ = make_program(0, convex.MPE_FULL)
-        assert prog.dimension == 8
-        assert prog.G_objective.shape == (64, 8)
-        assert prog.G_constraints.shape == (64, 8)
+        # every kind: one objective row per tuple, and the constraints are
+        # the extreme tuples, every one of the K-1 interferers at +-its peak
+        for kind in (convex.MPE_FULL, convex.MPE_REDUCED, convex.SMINR_AMP):
+            prog, _, _ = make_program(0, kind)
+            assert prog.dimension == 8
+            assert prog.G_objective.shape == (64, 8)
+            assert prog.G_constraints.shape == (4, 8)
 
     @pytest.mark.parametrize("kind", [convex.MPE_FULL, convex.MPE_REDUCED, convex.SMINR_AMP])
     def test_tuple_cap_is_checked_before_enumerating(self, kind, monkeypatch):
@@ -304,13 +307,14 @@ class TestSolve:
 def slsqp_oracle(prog, w0):
     """Objective of general-purpose SLSQP on the same program from w0.
 
-    Minimizes over the unit ball with the margin rows as linear constraints;
-    the result is scaled back into the ball if it ends outside by rounding.
+    Minimizes over the unit ball with every tuple row as a linear
+    constraint, the full program as the paper states it; the result is
+    scaled back into the ball if it ends outside by rounding.
     """
     constraints = [
         {"type": "ineq", "fun": lambda x: 1.0 - x @ x, "jac": lambda x: -2.0 * x},
-        {"type": "ineq", "fun": lambda x: prog.G_constraints @ x,
-         "jac": lambda x: prog.G_constraints},
+        {"type": "ineq", "fun": lambda x: prog.G_objective @ x,
+         "jac": lambda x: prog.G_objective},
     ]
     res = minimize(lambda x: convex.objective_and_gradient(prog, x), w0, jac=True,
                    method="SLSQP", constraints=constraints,
@@ -347,12 +351,33 @@ class TestSphereSqp:
         prog = convex.ConvexProgram(convex.MPE_FULL, H, 0, cs, 1.0)
         rep = convex.solve(prog)
         w_bar = beamformers.lift_weights(rep.weights)
-        assert np.sum(prog.G_constraints @ w_bar <= 1e-9) >= 8
+        assert np.sum(prog.G_objective @ w_bar <= 1e-9) >= 8
         assert abs(prog.U[2] @ w_bar) <= 1e-9
         assert rep.status == convex.OPTIMAL
         assert rep.iterations >= 2
         reduced = convex.solve(convex.ConvexProgram(convex.MPE_REDUCED, H, 0, cs, 1.0))
         assert rep.objective_value == pytest.approx(reduced.objective_value, rel=1e-10)
+
+    @pytest.mark.parametrize("snr_db", [0.0, 10.0, 20.0, 30.0])
+    def test_optimum_is_certified_on_every_tuple_row(self, snr_db):
+        # solved on the peak rows, the MPE_FULL optimum is feasible and KKT
+        # stationary on all T tuple rows: the peak rows cut out their set
+        rng = np.random.default_rng(66)
+        cs = [modem.unit_energy_pam(8)] * 4
+        sigma = sim.snr_db_to_sigma(snr_db)
+        for _ in range(3):
+            H = channel.sample_channel(4, 4, rng)
+            for k in range(4):
+                prog = convex.ConvexProgram(convex.MPE_FULL, H, k, cs, sigma)
+                rep = convex.solve(prog)
+                assert rep.status == convex.OPTIMAL
+                w_bar = beamformers.lift_weights(rep.weights)
+                margins = prog.G_objective @ w_bar
+                assert margins.min() >= -1e-12
+                _, grad = convex.objective_and_gradient(prog, w_bar)
+                normals = [-2.0 * w_bar, *prog.G_objective[margins <= 1e-7]]
+                _, resid = nnls(np.stack(normals, axis=1), grad)
+                assert resid <= convex.TOL_KKT
 
     def test_underflowed_gradient_keeps_start(self):
         # at 60 dB every Q term of the maximum-margin point underflows to zero

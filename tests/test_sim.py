@@ -85,6 +85,15 @@ class TestScenario:
         with pytest.raises(ValueError, match="GiB, above the cap"):
             tiny_scenario(**kw, methods=(sim.ZF, sim.MPE_FULL))
 
+    def test_working_set_counts_square_arrays_of_the_methods_that_build_them(self):
+        # MMSE's 20000 x 20000 covariance alone is 6 GiB; ZF builds no N x N array
+        kw = dict(n_antennas=20_000, users=(modem.unit_energy_pam(2),), n_symbols=0,
+                  n_realizations=1, snr_grid_db=(0.0,))
+        tiny_scenario(**kw, methods=(sim.ZF,))
+        for method in (sim.MMSE, sim.SMINR, sim.MPE_FULL, sim.SMINR_AMP):
+            with pytest.raises(ValueError, match="GiB, above the cap"):
+                tiny_scenario(**kw, methods=(method,))
+
     def test_zf_needs_as_many_antennas_as_users(self):
         with pytest.raises(ValueError, match="ZF needs n_antennas"):
             tiny_scenario(n_antennas=1)
@@ -122,13 +131,13 @@ class TestRunSweep:
         s = tiny_scenario()
         r1 = sim.run_sweep(s)
         r2 = sim.run_sweep(s)
-        assert r1.rows == r2.rows
+        assert r1 == r2
 
     def test_worker_count_does_not_change_results(self):
         s = tiny_scenario()
         serial = sim.run_sweep(s, n_workers=1)
         parallel = sim.run_sweep(s, n_workers=2)
-        assert serial.rows == parallel.rows
+        assert serial == parallel
 
     @pytest.mark.parametrize("n_workers, cores, expected", [
         (100_000, 2, 2), (100_000, 64, 8), (3, 64, 3), (100_000, None, 1),
@@ -157,7 +166,7 @@ class TestRunSweep:
         monkeypatch.setattr(sim, "ProcessPoolExecutor", SerialPool)
         monkeypatch.setattr(sim.os, "cpu_count", lambda: cores)
         s = tiny_scenario()
-        assert sim.run_sweep(s, n_workers=n_workers).rows == sim.run_sweep(s).rows
+        assert sim.run_sweep(s, n_workers=n_workers) == sim.run_sweep(s)
         assert sizes == ([expected] if expected > 1 else [])
 
     def test_tasks_carry_only_the_realization_index(self, monkeypatch):
@@ -182,7 +191,7 @@ class TestRunSweep:
         monkeypatch.setattr(sim, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(sim.os, "cpu_count", lambda: 2)
         s = tiny_scenario()
-        assert sim.run_sweep(s, n_workers=2).rows == sim.run_sweep(s).rows
+        assert sim.run_sweep(s, n_workers=2) == sim.run_sweep(s)
         assert len(started) == 1 and len(tasks) == s.n_realizations
         assert tasks == [pickle.dumps((r,)) for r in range(s.n_realizations)]
 
@@ -224,8 +233,8 @@ class TestRunSweep:
     def test_row_grid(self):
         s = tiny_scenario()
         res = sim.run_sweep(s)
-        assert len(res.rows) == len(s.methods) * len(s.snr_grid_db)
-        assert {r.method for r in res.rows} == set(s.methods)
+        assert len(res) == len(s.methods) * len(s.snr_grid_db)
+        assert {r.method for r in res} == set(s.methods)
         support.row(res, sim.ZF, 10.0)  # lookup by (method, snr) works
         with pytest.raises(KeyError):
             support.row(res, sim.ZF, 11.0)
@@ -233,7 +242,7 @@ class TestRunSweep:
     def test_ser_within_ci_of_analytic(self):
         s = tiny_scenario(n_realizations=30, n_symbols=2000, snr_grid_db=(15.0,))
         res = sim.run_sweep(s)
-        for row in res.rows:
+        for row in res:
             assert abs(row.ser - row.pe_analytic) < 5 * max(row.ser_ci, 1e-4)
 
     def test_single_user_bpsk_matches_q_function(self):
@@ -248,7 +257,7 @@ class TestRunSweep:
             seed=77,
         )
         res = sim.run_sweep(s)
-        row = res.rows[0]
+        row = res[0]
         sigma = sim.snr_db_to_sigma(6.0)
         # reproduce the channel draws with the documented seeding scheme
         pes = []
@@ -262,7 +271,7 @@ class TestRunSweep:
     def test_analytic_only_mode(self):
         s = tiny_scenario(n_symbols=0)
         res = sim.run_sweep(s)
-        for row in res.rows:
+        for row in res:
             assert math.isnan(row.ser)
             assert not math.isnan(row.pe_analytic)
             assert not math.isnan(row.sum_rate)
@@ -277,7 +286,7 @@ class TestRunSweep:
     def test_bound_dominates_analytic_average(self):
         s = tiny_scenario(n_symbols=0, n_realizations=20)
         res = sim.run_sweep(s)
-        for row in res.rows:
+        for row in res:
             assert row.pe_bound >= row.pe_analytic - 1e-14
 
 
@@ -307,7 +316,7 @@ def test_engine_matches_frozen_rows():
     # infeasible fraction
     s = tiny_scenario(users=(modem.unit_energy_pam(4),) * 3, snr_grid_db=(5.0, 20.0),
                       n_realizations=3, n_symbols=200, methods=sim.ALL_METHODS, seed=7)
-    rows = sim.run_sweep(s).rows
+    rows = sim.run_sweep(s)
     assert [(r.method, r.snr_db) for r in rows] == [ref[:2] for ref in FROZEN_ROWS]
     for r, (method, _, errors, pe, bound, infeasible) in zip(rows, FROZEN_ROWS):
         assert r.infeasible_frac == infeasible
@@ -334,7 +343,7 @@ FROZEN_QAM_ROWS = [
 def test_qam_reference_matches_frozen_counts():
     s = tiny_scenario(snr_grid_db=(10.0, 20.0), n_realizations=3, n_symbols=200,
                       methods=(sim.ZF, sim.MMSE), seed=7)
-    rows = sim.qam_reference_sweep(s).rows
+    rows = sim.qam_reference_sweep(s)
     assert [(r.method, r.snr_db) for r in rows] == [ref[:2] for ref in FROZEN_QAM_ROWS]
     for r, (_, _, errors) in zip(rows, FROZEN_QAM_ROWS):
         assert round(r.ser * 3 * 200 * 2) == errors
@@ -377,7 +386,7 @@ class TestSolverMethods:
         # an INFEASIBLE solve has no optimum to pass to the other MPE kind
         assert len(starts) == 3 * 2 * 3 * 4
         assert all(start is None for start in starts)
-        for row in result.rows:
+        for row in result:
             mmse = support.row(result, sim.MMSE, row.snr_db)
             if row.method == sim.MMSE:
                 assert row.infeasible_frac == 0.0
@@ -398,7 +407,7 @@ class TestSolverMethods:
     def test_mpe_order_does_not_change_rows(self):
         default = sim.run_sweep(self.fig1_style((sim.MPE_FULL, sim.MPE_REDUCED)))
         swapped = sim.run_sweep(self.fig1_style((sim.MPE_REDUCED, sim.MPE_FULL)))
-        for row in swapped.rows:
+        for row in swapped:
             ref = support.row(default, row.method, row.snr_db)
             assert row.pe_analytic == pytest.approx(ref.pe_analytic, rel=1e-12)
             assert row.infeasible_frac == ref.infeasible_frac
@@ -432,23 +441,25 @@ class TestSolverMethods:
 
 class TestOutputFormats:
     def test_csv_columns(self, tmp_path):
-        res = sim.run_sweep(tiny_scenario())
-        cli._write_outputs(tmp_path, res.scenario, [res])
+        s = tiny_scenario()
+        res = sim.run_sweep(s)
+        cli._write_outputs(tmp_path, s, [res])
         lines = (tmp_path / "sweep.csv").read_text().strip().splitlines()
         assert lines[0].split(",") == [f.name for f in dataclasses.fields(sim.SweepRow)]
-        assert len(lines) == 1 + len(res.rows)
+        assert len(lines) == 1 + len(res)
 
     def test_json_is_valid_and_nan_free(self, tmp_path):
-        res = sim.run_sweep(tiny_scenario(n_symbols=0))
-        cli._write_outputs(tmp_path, res.scenario, [res])
+        s = tiny_scenario(n_symbols=0)
+        res = sim.run_sweep(s)
+        cli._write_outputs(tmp_path, s, [res])
 
         def refuse(constant):
             raise AssertionError(f"{constant} in sweep.json")
 
         text = (tmp_path / "sweep.json").read_text()
         rows = json.loads(text, parse_constant=refuse)["rows"]
-        assert len(rows) == len(res.rows)
-        for row, r in zip(rows, res.rows):
+        assert len(rows) == len(res)
+        for row, r in zip(rows, res):
             assert row["ser"] is None and row["ser_ci"] is None  # NaN maps to null
             assert row["pe_analytic"] == r.pe_analytic
 
@@ -468,7 +479,7 @@ class TestImperfectCsi:
                 n_realizations=40, n_symbols=0, snr_grid_db=(30.0,), csi_error_var=0.01
             )
         )
-        for a, b in zip(clean.rows, noisy.rows):
+        for a, b in zip(clean, noisy):
             assert b.pe_analytic > a.pe_analytic
 
 
@@ -492,7 +503,7 @@ class TestQamReference:
             seed=9,
         )
         res = sim.qam_reference_sweep(s)
-        assert {r.method for r in res.rows} == {"ZF-QAM", "MMSE-QAM"}
-        for r in res.rows:
+        assert {r.method for r in res} == {"ZF-QAM", "MMSE-QAM"}
+        for r in res:
             assert 0.0 <= r.sum_rate <= 12.0 + 1e-12
             assert math.isnan(r.pe_analytic)
