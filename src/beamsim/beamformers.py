@@ -70,29 +70,6 @@ def mmse(H: np.ndarray, k: int, sigma_z: float, symbol_energies) -> np.ndarray:
     return w / np.linalg.norm(w)
 
 
-def max_eigvec_symmetric(M: np.ndarray):
-    """(largest eigenvalue, unit eigenvector) of a real symmetric matrix.
-
-    Deterministic sign convention: the first component of the eigenvector
-    whose magnitude exceeds 1e-12 is made positive.
-    """
-    M = np.asarray(M, dtype=float)
-    if M.shape[0] != M.shape[1]:
-        raise ValueError("matrix must be square")
-    scale = np.max(np.abs(M)) or 1.0
-    if np.max(np.abs(M - M.T)) > 1e-12 * scale:
-        raise ValueError("matrix is not symmetric")
-    eigvals, eigvecs = np.linalg.eigh(M)
-    lam = float(eigvals[-1])
-    v = eigvecs[:, -1]
-    for x in v:
-        if abs(x) > 1e-12:
-            if x < 0:
-                v = -v
-            break
-    return lam, v
-
-
 def sminr_quadratic_form(H: np.ndarray, k: int, constellations) -> np.ndarray:
     """2N x 2N real symmetric matrix whose Rayleigh quotient is the SMINR numerator.
 
@@ -114,9 +91,8 @@ def sminr_closed_form(H: np.ndarray, k: int, constellations) -> np.ndarray:
     Re{w h_k} > 0. No further phase rotation is applied: any nontrivial
     rotation would change Re{w h_j} and lose the attained maximum.
     """
-    M = sminr_quadratic_form(H, k, constellations)
-    _, v = max_eigvec_symmetric(M)
-    w = unlift_weights(v)
+    # the form is exactly symmetric, and eigh reads one triangle of it
+    w = unlift_weights(np.linalg.eigh(sminr_quadratic_form(H, k, constellations))[1][:, -1])
     g = (w @ H[:, k]).real
     if g < 0:
         w = -w

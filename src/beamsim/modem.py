@@ -75,11 +75,6 @@ def unit_energy_pam(order: int) -> Constellation:
     return Constellation(order=order, half_spacing=d, pulse_energy=1.0)
 
 
-def decide(y_real: float, gain: float, c: Constellation) -> int:
-    """:func:`decide_block` for one real beamformer output sample, as an int."""
-    return int(decide_block(y_real, gain, c))
-
-
 @functools.lru_cache(maxsize=64)
 def _threshold_offsets(c: Constellation) -> np.ndarray:
     """The L - 1 decision thresholds a_l + d at unit gain, read-only."""

@@ -1,9 +1,10 @@
-"""Helpers of the tests: lookups on sweep results, the amplitude SMINR and
-a fresh interpreter on this checkout.
+"""Helpers of the tests: lookups on sweep results, the amplitude SMINR, a
+certificate of an MPE optimum on every tuple row and a fresh interpreter on
+this checkout.
 
-No command needs the lookups or the amplitude SMINR: the commands write
-every row in order, and the sweeps score weights by the exact error
-probability and its bound.
+No command needs the lookups, the amplitude SMINR or the certificate: the
+commands write every row in order, the sweeps score weights by the exact
+error probability and its bound, and the solver constrains the peak rows.
 """
 
 import math
@@ -12,8 +13,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+from scipy.optimize import nnls
+
 import beamsim
-from beamsim import analysis
+from beamsim import analysis, beamformers, convex
 
 SRC = Path(beamsim.__file__).resolve().parents[1]
 
@@ -47,3 +51,18 @@ def sminr_amp(w, H, k, constellations, sigma_z: float) -> float:
     """
     _, reduced = analysis.feasibility_margins(w, H, k, constellations)
     return reduced / (sigma_z / math.sqrt(2.0))
+
+
+def certify_on_tuple_rows(program, weights):
+    """(smallest margin, KKT residual) of ``weights`` on all T tuple rows.
+
+    The margin is min(G_objective @ w_bar). The residual is that of the
+    nonnegative least-squares fit of the objective's gradient by the sphere
+    normal and the tuple rows active within 1e-7: zero at a KKT point.
+    """
+    w_bar = beamformers.lift_weights(weights)
+    margins = program.G_objective @ w_bar
+    _, grad = convex.objective_and_gradient(program, w_bar)
+    normals = [-2.0 * w_bar, *program.G_objective[margins <= 1e-7]]
+    _, resid = nnls(np.stack(normals, axis=1), grad)
+    return float(margins.min()), float(resid)

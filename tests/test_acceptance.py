@@ -133,12 +133,20 @@ def test_criterion_04_proposed_methods_cluster(default_sweep):
 
 
 def test_criterion_05_program_equivalence():
-    """Full and reduced programs share optimum; margins match exactly."""
+    """Full and reduced programs share optimum; margins match exactly.
+
+    At 0 dB, where the constraints bind, the MPE_FULL optimum solved on the
+    peak rows is also certified feasible and KKT-stationary on all T tuple
+    rows: the peak rows cut out the full program's feasible set.
+    """
     rng = np.random.default_rng(505)
     cs = [modem.unit_energy_pam(8)] * 4
     sigma = sim.snr_db_to_sigma(20.0)
+    sigma_binding = sim.snr_db_to_sigma(0.0)
     worst_obj = 0.0
     worst_margin = 0.0
+    worst_row = math.inf
+    worst_kkt = 0.0
     done = 0
     while done < 100:
         H = channel.sample_channel(4, 4, rng)
@@ -151,13 +159,20 @@ def test_criterion_05_program_equivalence():
         for w in (rep_f.weights, rep_r.weights, amp.weights):
             full, reduced = analysis.feasibility_margins(w, H, 0, cs)
             worst_margin = max(worst_margin, abs(np.min(full) - reduced))
+        binding = convex.ConvexProgram(convex.MPE_FULL, H, 0, cs, sigma_binding)
+        row_margin, kkt = support.certify_on_tuple_rows(binding, convex.solve(binding).weights)
+        worst_row = min(worst_row, row_margin)
+        worst_kkt = max(worst_kkt, kkt)
         done += 1
-    ok = worst_obj <= 1e-6 and worst_margin <= 1e-12
+    ok = (worst_obj <= 1e-6 and worst_margin <= 1e-12
+          and worst_row >= -1e-12 and worst_kkt <= convex.TOL_KKT)
     report(
         5,
         ok,
         f"max |obj_full - obj_reduced| = {worst_obj:.3e} (limit 1e-6), "
-        f"max |min(full) - reduced| = {worst_margin:.3e} (limit 1e-12)",
+        f"max |min(full) - reduced| = {worst_margin:.3e} (limit 1e-12), "
+        f"0 dB: min tuple-row margin = {worst_row:.3e} (limit -1e-12), "
+        f"max KKT residual = {worst_kkt:.3e} (limit {convex.TOL_KKT:g})",
     )
     assert ok
 

