@@ -214,7 +214,7 @@ def cmd_rate(args) -> int:
                           "symbol errors")
     try:
         qam_scenario = dataclasses.replace(
-            scenario, users=(unit_energy_pam(8),) * 2, methods=(sim.ZF, sim.MMSE)
+            scenario, users=(sim.QAM_AXIS,) * 2, methods=(sim.ZF, sim.MMSE)
         )
     except ValueError as exc:
         raise ConfigError(f"64-QAM reference: {exc}") from exc

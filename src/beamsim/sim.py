@@ -4,7 +4,7 @@ import math
 import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -32,6 +32,9 @@ MAX_ABS_SNR_DB = 100
 MAX_CSI_ERROR_VAR = 1e6
 # the bytes a run may hold by the Scenario estimate; paper-scale fig4 needs 85 MB
 MAX_WORKING_SET_BYTES = 2 * 2**30
+# each axis of the 64-QAM reference: 8-PAM scaled for unit average QAM symbol energy
+QAM_AXIS = modem.Constellation(order=8, half_spacing=math.sqrt(3.0 / (2.0 * 63)),
+                               pulse_energy=1.0)
 
 
 @dataclass
@@ -230,29 +233,35 @@ def _sweep_rows(scenario: Scenario, labels, bits, errors, pe, bound, infeas) -> 
     return rows
 
 
-def _run_realization(scenario: Scenario, r_index: int, tuple_sets):
+def _run_realization(scenario: Scenario, r_index: int, tuple_sets, quadratures):
     """All per-realization statistics, deterministic in (seed, r_index).
 
     One cell is a (SNR point, method, user): its weight, from the estimate
     H_csi, is scored on the true H by the exact Pe and the bound and, with
     Monte-Carlo symbols, by its symbol errors. A convex instance without a
     positive margin falls back to MMSE weights and counts as infeasible.
+    With 2 quadratures each user sends one symbol of its PAM alphabet on each
+    axis, a symbol is wrong when either axis is, and pe and bound are NaN.
     """
     users, K = scenario.users, len(scenario.users)
     H, H_csi, rng_sym, rng_noise = _draw_realization(scenario, r_index)
     shape = (len(scenario.methods), len(scenario.snr_grid_db), K)
     errors = np.zeros(shape, dtype=np.int64)
-    pe = np.zeros(shape)
-    bound = np.zeros(shape)
+    pe = np.full(shape, np.nan)
+    bound = np.full(shape, np.nan)
     infeas = np.zeros(shape, dtype=np.int64)
 
     n_sym = scenario.n_symbols
     if n_sym > 0:
         indices, values = modem.draw_symbols(users, rng_sym, size=n_sym)
+        if quadratures == 2:
+            indices_im, values_im = modem.draw_symbols(users, rng_sym, size=n_sym)
+            values = values + 1j * values_im
         clean = H @ values
         noise = channel.complex_normal(clean.shape, rng_noise)
 
-    energies = [c.average_energy for c in users]
+    # QAM symbols have unit energy; 2 * QAM_AXIS.average_energy rounds above 1
+    energies = [1.0] * K if quadratures == 2 else [c.average_energy for c in users]
     # user k's feasibility phase, from its first solve on this H_csi: it
     # depends on neither sigma_z nor the program kind
     feasible = [None] * K
@@ -285,20 +294,26 @@ def _run_realization(scenario: Scenario, r_index: int, tuple_sets):
                         w = report.weights
                         if mpe and mpe_start[k] is None:
                             mpe_start[k] = beamformers.lift_weights(w)
-                pe[mi, si, k] = analysis.exact_pe(w, H, k, users, sigma_z, tuple_sets[k])
-                bound[mi, si, k] = analysis.pe_upper_bound(w, H, k, users, sigma_z)
+                if quadratures == 1:
+                    pe[mi, si, k] = analysis.exact_pe(w, H, k, users, sigma_z, tuple_sets[k])
+                    bound[mi, si, k] = analysis.pe_upper_bound(w, H, k, users, sigma_z)
                 if n_sym > 0:
                     gain = (w @ H_csi[:, k]).real * math.sqrt(users[k].pulse_energy)
-                    decisions = modem.decide_block((w @ r_block).real, gain, users[k])
-                    errors[mi, si, k] = int(np.count_nonzero(decisions != indices[k]))
+                    y = w @ r_block
+                    wrong = modem.decide_block(y.real, gain, users[k]) != indices[k]
+                    if quadratures == 2:
+                        wrong |= modem.decide_block(y.imag, gain, users[k]) != indices_im[k]
+                    errors[mi, si, k] = int(np.count_nonzero(wrong))
     return errors, pe, bound, infeas
 
 
-def run_sweep(scenario: Scenario, n_workers: int = 1) -> list:
+def run_sweep(scenario: Scenario, n_workers: int = 1, quadratures: int = 1) -> list:
     """The SweepRow list of the full Monte-Carlo sweep of a scenario.
 
     Realizations are independent work units; results are reduced in fixed
     realization order so the output is bit-identical for any worker count.
+    ``quadratures=2`` sends each user's PAM alphabet on both axes (see
+    ``qam_reference_sweep``).
     """
     tuple_sets = [modem.enumerate_interferers(scenario.users, k)
                   for k in range(len(scenario.users))]
@@ -306,56 +321,25 @@ def run_sweep(scenario: Scenario, n_workers: int = 1) -> list:
         # the solvers' scipy.optimize loads here, in set-up and before the
         # pool forks, not at the first solve inside a realization or a worker
         import scipy.optimize  # noqa: F401
-    arrays = _map_realizations(_run_realization, scenario, n_workers, tuple_sets)
-    bits = [c.bits_per_symbol for c in scenario.users]
+    arrays = _map_realizations(_run_realization, scenario, n_workers, tuple_sets,
+                               quadratures)
+    bits = [quadratures * c.bits_per_symbol for c in scenario.users]
     return _sweep_rows(scenario, scenario.methods, bits, *arrays)
-
-
-def _run_qam_realization(scenario: Scenario, r_index: int, methods, axis):
-    """QAM symbol errors of one realization; each QAM coordinate is an ``axis``
-    PAM symbol. pe and bound are NaN, no instance is infeasible."""
-    K = len(scenario.users)
-    H, H_csi, rng_sym, rng_noise = _draw_realization(scenario, r_index)
-    idx_re, val_re = modem.draw_symbols([axis] * K, rng_sym, size=scenario.n_symbols)
-    idx_im, val_im = modem.draw_symbols([axis] * K, rng_sym, size=scenario.n_symbols)
-    clean = H @ (val_re + 1j * val_im)
-    noise = channel.complex_normal(clean.shape, rng_noise)
-    errors = np.zeros((len(methods), len(scenario.snr_grid_db), K), dtype=np.int64)
-    for si, snr_db in enumerate(scenario.snr_grid_db):
-        sigma_z = snr_db_to_sigma(snr_db)
-        r_block = channel.add_noise(clean, sigma_z, noise)
-        for mi, method in enumerate(methods):
-            for k in range(K):
-                if method == ZF:
-                    w = beamformers.zf(H_csi, k)
-                else:
-                    w = beamformers.mmse(H_csi, k, sigma_z, [1.0] * K)
-                y = (w @ r_block) / (w @ H_csi[:, k])
-                wrong = ((modem.decide_block(y.real, 1.0, axis) != idx_re[k])
-                         | (modem.decide_block(y.imag, 1.0, axis) != idx_im[k]))
-                errors[mi, si, k] = np.count_nonzero(wrong)
-    nan = np.full(errors.shape, np.nan)
-    return errors, nan, nan, np.zeros_like(errors)
 
 
 def qam_reference_sweep(scenario: Scenario, n_workers: int = 1) -> list:
     """ZF/MMSE reference rows for two users with 64-QAM modulation.
 
-    Each 64-QAM symbol is two independent 8-PAM coordinates, 6 bits in all;
-    detection divides the array output by the effective complex gain and
-    quantizes each axis. SER is counted at the QAM-symbol level; analytic 1D
-    error probabilities do not apply and are reported as NaN.
+    Each 64-QAM symbol is a ``QAM_AXIS`` 8-PAM symbol on each axis, 6 bits in
+    all, and each axis is decided by the PAM threshold rule. SER is counted
+    at the QAM-symbol level; analytic 1D error probabilities do not apply
+    and are reported as NaN.
     """
-    K = len(scenario.users)
-    if K != 2:
+    if len(scenario.users) != 2:
         raise ValueError("the QAM reference is defined for K = 2 users")
     if scenario.n_symbols < 1:
         raise ValueError("the QAM reference counts symbol errors and needs n_symbols >= 1")
-    # per-axis 8-PAM scaled for unit average 64-QAM symbol energy
-    axis = modem.Constellation(order=8, half_spacing=math.sqrt(3.0 / (2.0 * 63)),
-                               pulse_energy=1.0)
-    methods = [m for m in scenario.methods if m in (ZF, MMSE)]
-    arrays = _map_realizations(_run_qam_realization, scenario, n_workers, methods, axis)
-    labels = [f"{m}-QAM" for m in methods]
-    bits = [2 * axis.bits_per_symbol] * K
-    return _sweep_rows(scenario, labels, bits, *arrays)
+    qam = replace(scenario, users=(QAM_AXIS,) * 2,
+                  methods=[m for m in scenario.methods if m in (ZF, MMSE)])
+    rows = run_sweep(qam, n_workers, quadratures=2)
+    return [replace(r, method=f"{r.method}-QAM") for r in rows]

@@ -331,22 +331,62 @@ def test_engine_matches_frozen_rows():
 
 
 # (method, snr_db, QAM symbol errors) of the 64-QAM reference sweep in
-# test_qam_reference_matches_frozen_counts
-FROZEN_QAM_ROWS = [
-    ("ZF-QAM", 10.0, 738),
-    ("ZF-QAM", 20.0, 63),
-    ("MMSE-QAM", 10.0, 740),
-    ("MMSE-QAM", 20.0, 66),
-]
+# test_qam_reference_matches_frozen_counts, by CSI error variance; with CSI
+# error, H_csi differs from H and so does the decision gain Re{w H_csi[:, k]}
+FROZEN_QAM_ROWS = {
+    0.0: [
+        ("ZF-QAM", 10.0, 738),
+        ("ZF-QAM", 20.0, 63),
+        ("MMSE-QAM", 10.0, 740),
+        ("MMSE-QAM", 20.0, 66),
+    ],
+    0.01: [
+        ("ZF-QAM", 10.0, 788),
+        ("ZF-QAM", 20.0, 310),
+        ("MMSE-QAM", 10.0, 776),
+        ("MMSE-QAM", 20.0, 313),
+    ],
+}
 
 
-def test_qam_reference_matches_frozen_counts():
+@pytest.mark.parametrize("csi_error_var", sorted(FROZEN_QAM_ROWS))
+def test_qam_reference_matches_frozen_counts(csi_error_var):
+    frozen = FROZEN_QAM_ROWS[csi_error_var]
     s = tiny_scenario(snr_grid_db=(10.0, 20.0), n_realizations=3, n_symbols=200,
-                      methods=(sim.ZF, sim.MMSE), seed=7)
+                      methods=(sim.ZF, sim.MMSE), seed=7, csi_error_var=csi_error_var)
     rows = sim.qam_reference_sweep(s)
-    assert [(r.method, r.snr_db) for r in rows] == [ref[:2] for ref in FROZEN_QAM_ROWS]
-    for r, (_, _, errors) in zip(rows, FROZEN_QAM_ROWS):
+    assert [(r.method, r.snr_db) for r in rows] == [ref[:2] for ref in frozen]
+    for r, (_, _, errors) in zip(rows, frozen):
         assert round(r.ser * 3 * 200 * 2) == errors
+
+
+def test_qam_threshold_decisions_match_complex_gain_division():
+    # the kernel decides each QAM axis of y = w r at the real gain
+    # Re{w H_csi[:, k]}; the reference divides y by the complex gain and
+    # decides at unit gain, which ZF's and MMSE's phase alignment makes equal
+    axis, K = sim.QAM_AXIS, 2
+    rng = np.random.default_rng(21)
+    for csi_error_var in (0.0, 0.01):
+        for _ in range(25):
+            H = channel.sample_channel(4, K, rng)
+            H_csi = channel.perturb_csi(H, csi_error_var, rng)
+            _, re = modem.draw_symbols([axis] * K, rng, size=100)
+            _, im = modem.draw_symbols([axis] * K, rng, size=100)
+            clean = H @ (re + 1j * im)
+            noise = channel.complex_normal(clean.shape, rng)
+            for snr_db in (0.0, 20.0, 40.0):
+                sigma_z = sim.snr_db_to_sigma(snr_db)
+                r_block = channel.add_noise(clean, sigma_z, noise)
+                for k in range(K):
+                    for w in (beamformers.zf(H_csi, k),
+                              beamformers.mmse(H_csi, k, sigma_z, [1.0] * K)):
+                        y = w @ r_block
+                        complex_gain = w @ H_csi[:, k]
+                        unit = y / complex_gain
+                        for part, ref in ((y.real, unit.real), (y.imag, unit.imag)):
+                            np.testing.assert_array_equal(
+                                modem.decide_block(part, complex_gain.real, axis),
+                                modem.decide_block(ref, 1.0, axis))
 
 
 class TestSolverMethods:
