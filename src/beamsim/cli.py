@@ -12,6 +12,7 @@ import tempfile
 import time
 
 import numpy as np
+import scipy
 
 from . import __version__, checks, sim
 from .modem import unit_energy_pam
@@ -157,9 +158,11 @@ def _make_out_dir(out_dir) -> None:
         raise ConfigError(f"cannot write to the output directory: {exc}") from None
 
 
-def _write_outputs(out_dir, scenario, row_lists, csi_vars=None):
+def _write_outputs(out_dir, scenario, row_lists, n_workers, csi_vars=None):
     """Write sweep.csv, sweep.json and manifest.json for the SweepRow lists of
     ``row_lists``, one per sweep, into the existing directory ``out_dir``.
+    The manifest records the python, numpy and scipy versions and the number
+    of worker processes the sweeps ran on for ``n_workers`` asked for.
 
     The row columns are the SweepRow fields in order and the scenario object
     is ``dataclasses.asdict(scenario)``. CSV numbers are written with 17
@@ -188,6 +191,10 @@ def _write_outputs(out_dir, scenario, row_lists, csi_vars=None):
         "code_version": __version__,
         "seed": scenario.seed,
         "created_unix": int(time.time()),
+        "python": ".".join(map(str, sys.version_info[:3])),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "workers": sim.worker_count(n_workers, scenario.n_realizations),
     }
     for name, text in (
         (csv_path, "\n".join(lines)),
@@ -202,8 +209,9 @@ def _write_outputs(out_dir, scenario, row_lists, csi_vars=None):
 def cmd_sweep(args) -> int:
     scenario = build_scenario(args)
     _make_out_dir(args.out)
-    rows = sim.run_sweep(scenario, n_workers=_n_workers(args))
-    print(f"wrote {_write_outputs(args.out, scenario, [rows])}")
+    n_workers = _n_workers(args)
+    rows = sim.run_sweep(scenario, n_workers=n_workers)
+    print(f"wrote {_write_outputs(args.out, scenario, [rows], n_workers)}")
     return 0
 
 
@@ -222,7 +230,7 @@ def cmd_rate(args) -> int:
     n_workers = _n_workers(args)
     rows = sim.run_sweep(scenario, n_workers=n_workers)
     qam = sim.qam_reference_sweep(qam_scenario, n_workers=n_workers)
-    print(f"wrote {_write_outputs(args.out, scenario, [rows, qam])}")
+    print(f"wrote {_write_outputs(args.out, scenario, [rows, qam], n_workers)}")
     return 0
 
 
@@ -236,7 +244,7 @@ def cmd_csi(args) -> int:
     row_lists = [sim.run_sweep(dataclasses.replace(scenario, csi_error_var=var),
                                n_workers=n_workers)
                  for var in variances]
-    print(f"wrote {_write_outputs(args.out, scenario, row_lists, csi_vars=variances)}")
+    print(f"wrote {_write_outputs(args.out, scenario, row_lists, n_workers, csi_vars=variances)}")
     return 0
 
 

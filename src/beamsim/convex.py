@@ -31,6 +31,11 @@ those of the accepted point for its next model. A caller that solves both
 MPE programs at one noise level can start the second from the first's
 optimum (``solve(start=...)``); its SQP then stops at the first model
 check.
+
+Both active-set solvers are the package's own: ``_nnls`` is Lawson &
+Hanson's NNLS (Solving Least Squares Problems, 1974, ch. 23) and ``_bvls``
+is Stark & Parker's BVLS (Computational Statistics 10, 1995), with the
+bounds fixed at [-1, 1].
 """
 
 import math
@@ -42,9 +47,6 @@ from scipy.special import erfc
 
 from .beamformers import lift_channel, unlift_weights
 from .modem import enumerate_interferers
-
-# scipy.optimize is imported inside the functions that call it, so a run of
-# closed-form beamformers alone never loads it
 
 MPE_FULL = "MPE_FULL"
 MPE_REDUCED = "MPE_REDUCED"
@@ -185,19 +187,112 @@ def _maximize_margin(program: ConvexProgram) -> Feasibility:
     the peak interferer directions around a (Stark & Parker, Bounded-Variable
     Least-Squares, 1995). With g* = a - U^T t* the maximizer is g*/||g*||.
     """
-    from scipy.optimize import lsq_linear
-
     a, U = program.a, program.U
-    if U.shape[0]:
-        res = lsq_linear(U.T, a, bounds=(-1.0, 1.0), method="bvls")
-        g, iterations = a - U.T @ res.x, int(res.nit)
-    else:
-        g, iterations = a, 0
+    t, iterations = _bvls(U.T, a)
+    g = a - U.T @ t
     margin = float(np.linalg.norm(g))
     if margin < TOL_FEAS:
         return Feasibility(margin, None, float("nan"), iterations)
     w_bar = g / margin
     return Feasibility(margin, w_bar, abs(margin - program.reduced_margin(w_bar)), iterations)
+
+
+def _nnls(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """argmin ||A u - b|| over u >= 0, by Lawson & Hanson's active-set method.
+
+    The method starts from u = 0 and stops when no entry of the dual vector
+    A'(b - A u) is positive, so a right-hand side with A'b <= 0 returns
+    u = 0 at once. Each outer iteration makes the column of largest dual
+    entry passive; the first one has a closed form, which is the answer when
+    A has one column. The inner loop steps back from a least-squares
+    solution with a nonpositive entry, dropping the entry that blocks first.
+    As in scipy's nnls, the outer loop stops after 3n iterations, and then
+    the current iterate is returned for the caller's certificate to judge.
+    Non-finite input raises ValueError.
+    """
+    if not (np.isfinite(A).all() and np.isfinite(b).all()):
+        raise ValueError("NNLS input must be finite")
+    n = A.shape[1]
+    dual = b @ A
+    u = np.zeros(n)
+    if not dual.max() > 0.0:
+        return u
+    j = dual.argmax()
+    u[j] = dual[j] / (A[:, j] @ A[:, j])
+    if n == 1:
+        return u
+    tol = 10.0 * _EPS * max(A.shape) * math.sqrt((A * A).sum() * (b @ b))
+    passive = u > 0.0
+    dual = (b - A @ u) @ A
+    for _ in range(3 * n - 1):
+        dual[passive] = -np.inf
+        j = dual.argmax()
+        if not dual[j] > tol:
+            break
+        passive[j] = True
+        z = np.zeros(n)
+        z[passive] = np.linalg.lstsq(A[:, passive], b, rcond=None)[0]
+        if not z[j] > 0.0:
+            # rounding made the new column useless: zero its dual entry and choose again
+            passive[j] = False
+            dual[j] = 0.0
+            continue
+        # each pass drops a passive column, so the last one leaves z >= 0
+        for _ in range(n):
+            blocking = np.flatnonzero(passive & (z <= 0.0))
+            if not blocking.size:
+                break
+            ratios = u[blocking] / (u[blocking] - z[blocking])
+            i = ratios.argmin()
+            u += ratios[i] * (z - u)
+            passive[blocking[i]] = False
+            passive &= u > 0.0
+            u[~passive] = 0.0
+            z = np.zeros(n)
+            z[passive] = np.linalg.lstsq(A[:, passive], b, rcond=None)[0]
+        u = z
+        dual = (b - A @ u) @ A
+    return u
+
+
+def _bvls(B: np.ndarray, a: np.ndarray):
+    """argmin ||a - B t|| over t in [-1, 1]^m, by Stark & Parker's BVLS.
+
+    Starts from t = 0 with every variable free. The inner loop solves the
+    least-squares problem in the free variables with the others fixed at
+    their bounds, and steps towards its solution until the first free
+    variable reaches a bound, where it is fixed; it ends when the solution
+    lies in the box. The outer loop frees the fixed variable whose descent
+    direction points furthest into the box, and stops when none does (the
+    KKT conditions) or after 3m iterations, returning the current iterate.
+    Returns (t, iterations). Non-finite input raises ValueError.
+    """
+    if not (np.isfinite(B).all() and np.isfinite(a).all()):
+        raise ValueError("BVLS input must be finite")
+    m = B.shape[1]
+    t = np.zeros(m)
+    free = np.ones(m, dtype=bool)
+    tol = 10.0 * _EPS * max(B.shape) * math.sqrt((B * B).sum() * (a @ a))
+    for iteration in range(1, 3 * m + 1):
+        # each pass fixes at least one free variable, so the last leaves z in the box
+        for _ in range(m + 1):
+            z = t.copy()
+            z[free] = np.linalg.lstsq(B[:, free], a - B[:, ~free] @ t[~free], rcond=None)[0]
+            outside = np.flatnonzero(np.abs(z) > 1.0)
+            if not outside.size:
+                break
+            bounds = np.sign(z[outside])
+            ratios = (bounds - t[outside]) / (z[outside] - t[outside])
+            i = ratios.argmin()
+            t += ratios[i] * (z - t)
+            t[outside[i]], free[outside[i]] = bounds[i], False
+        t = z
+        pull = np.where(free, 0.0, -np.sign(t) * ((a - B @ t) @ B))
+        j = pull.argmax()
+        if not pull[j] > tol:
+            return t, iteration
+        free[j] = True
+    return t, 3 * m
 
 
 def random_feasible_start(program: ConvexProgram, rng: np.random.Generator, w_feas):
@@ -239,8 +334,6 @@ def _sphere_sqp(program: ConvexProgram, w0: np.ndarray):
     row per accepted step. An objective or gradient that has underflowed to
     zero leaves the start point as it is.
     """
-    from scipy.optimize import nnls
-
     G_obj, G = program.G_objective, program.G_constraints
     n = w0.size
     w = w0 / np.linalg.norm(w0)
@@ -260,16 +353,22 @@ def _sphere_sqp(program: ConvexProgram, w0: np.ndarray):
         # B and Z'g scaled by 1/|g.w|, which leaves the step unchanged
         B = (GZ.T * (weights / -gw)) @ GZ + np.eye(n - 1)
         # B >= I, so ||L^-1|| <= 1 and products with L^-1 are as accurate as
-        # triangular solves; nnls refuses h and E' if they are not finite
+        # triangular solves
         L_inv = np.linalg.inv(np.linalg.cholesky(B))
         h = L_inv @ (Z.T @ g / -gw)
         Et = L_inv @ (G @ Z).T
-        A = np.vstack([Et, h @ Et - G @ w])
-        u, _ = nnls(A, e)
-        r = A @ u - e
-        if not r[-1] < 0.0:
-            break
-        step = Z @ (L_inv.T @ (-r[:-1] / r[-1] - h))
+        # the NNLS's dual vector at u = 0: when every entry is <= 0, u = 0 and
+        # the Newton step satisfies the linearized rows; otherwise (a NaN
+        # included) _nnls solves it, and refuses h and E' if they are not finite
+        dual = h @ Et - G @ w
+        y = -h
+        if not dual.max() <= 0.0:
+            A = np.vstack([Et, dual])
+            r = A @ _nnls(A, e) - e
+            if not r[-1] < 0.0:
+                break
+            y = -r[:-1] / r[-1] - h
+        step = Z @ (L_inv.T @ y)
         slope = float(g @ step)
         if not -slope > _EPS * f:
             break
@@ -294,8 +393,6 @@ def _sphere_sqp(program: ConvexProgram, w0: np.ndarray):
 def _kkt_residual(program: ConvexProgram, w_bar: np.ndarray, grad: np.ndarray) -> float:
     """Distance of -grad from the cone spanned by the active peak-row normals
     and, on the sphere, the sphere normal."""
-    from scipy.optimize import nnls
-
     columns = [-2.0 * w_bar] if np.linalg.norm(w_bar) >= 1.0 - 1e-7 else []
     margins = program.G_constraints @ w_bar
     for i in np.nonzero(margins <= 1e-7)[0]:
@@ -303,8 +400,8 @@ def _kkt_residual(program: ConvexProgram, w_bar: np.ndarray, grad: np.ndarray) -
     if not columns:
         return float(np.linalg.norm(grad))
     A = np.stack(columns, axis=1)
-    _, resid = nnls(A, grad)
-    return float(resid)
+    r = A @ _nnls(A, grad) - grad
+    return math.sqrt(r @ r)
 
 
 def solve(program: ConvexProgram, start: np.ndarray = None,

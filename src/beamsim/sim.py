@@ -161,6 +161,12 @@ def _draw_realization(scenario: Scenario, r_index: int):
     return H, H_csi, rng_sym, rng_noise
 
 
+def worker_count(n_workers: int, n_realizations: int) -> int:
+    """The processes a sweep of ``n_realizations`` runs on when ``n_workers``
+    are asked for: at least one, and no more than realizations or cores."""
+    return min(n_workers or 1, n_realizations, os.cpu_count() or 1)
+
+
 def _map_realizations(fn, scenario: Scenario, n_workers: int, *args):
     """Run ``fn(scenario, r, *args)`` for every realization r on ``n_workers``
     processes and stack its (errors, pe, bound, infeas) arrays in realization
@@ -168,7 +174,7 @@ def _map_realizations(fn, scenario: Scenario, n_workers: int, *args):
     starts all its processes at once, so it gets no more of them than there
     are realizations or cores. Each worker gets fn, scenario and args once."""
     n_real = scenario.n_realizations
-    n_workers = min(n_workers or 1, n_real, os.cpu_count() or 1)
+    n_workers = worker_count(n_workers, n_real)
     if n_workers > 1:
         with ProcessPoolExecutor(max_workers=n_workers, initializer=_start_worker,
                                  initargs=(fn, scenario, args)) as pool:
@@ -317,10 +323,6 @@ def run_sweep(scenario: Scenario, n_workers: int = 1, quadratures: int = 1) -> l
     """
     tuple_sets = [modem.enumerate_interferers(scenario.users, k)
                   for k in range(len(scenario.users))]
-    if set(SOLVER_METHODS) & set(scenario.methods):
-        # the solvers' scipy.optimize loads here, in set-up and before the
-        # pool forks, not at the first solve inside a realization or a worker
-        import scipy.optimize  # noqa: F401
     arrays = _map_realizations(_run_realization, scenario, n_workers, tuple_sets,
                                quadratures)
     bits = [quadratures * c.bits_per_symbol for c in scenario.users]

@@ -1,14 +1,18 @@
 import argparse
+import ast
 import dataclasses
 import json
 import math
 import os
+import platform
 import tempfile
 import textwrap
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
+import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -181,6 +185,23 @@ class TestCommands:
         assert manifest["seed"] == 1
         assert len(manifest["scenario_digest"]) == 64
 
+    def test_manifest_records_the_software_and_workers(self, tmp_path):
+        # the run record goes to the manifest alone: the sweep files do not
+        # change with the worker count
+        manifests = {}
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            assert cli.main(["sweep", *FAST_ARGS, "--methods", "ZF,MMSE",
+                             "--threads", threads, "--out", str(out)]) == 0
+            manifests[threads] = json.loads((out / "manifest.json").read_text())
+        for name in ("sweep.csv", "sweep.json"):
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+        for threads, manifest in manifests.items():
+            assert manifest["python"] == platform.python_version()
+            assert manifest["numpy"] == np.__version__
+            assert manifest["scipy"] == scipy.__version__
+            assert manifest["workers"] == min(int(threads), os.cpu_count())
+
     def test_sweep_deterministic_across_runs(self, tmp_path):
         texts = []
         for name in ("a", "b"):
@@ -299,7 +320,7 @@ class TestOutputFormat:
     ], ids=["default", "small"])
     def test_scenario_digest_is_pinned(self, tmp_path, scenario, digest):
         # a change to the scenario text of sweep.json changes every digest
-        cli._write_outputs(tmp_path, scenario, [])
+        cli._write_outputs(tmp_path, scenario, [], 1)
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["scenario_digest"] == digest
 
@@ -583,8 +604,9 @@ class TestScenarioFileProperties:
 
 
 class TestSolverImport:
-    """scipy.optimize loads only in runs that solve a convex program. Each
-    test runs a fresh interpreter, because this one has loaded it already."""
+    """No command loads scipy.optimize: the NNLS and BVLS solvers are the
+    package's own. Each run test uses a fresh interpreter, because the tests
+    import scipy.optimize as an oracle."""
 
     @staticmethod
     def _run(code: str, tmp_path) -> list:
@@ -611,18 +633,29 @@ class TestSolverImport:
             print(rc, "scipy.optimize" in sys.modules)
         """, tmp_path) == ["0", "False"]
 
-    def test_solving_run_loads_the_solver_before_its_first_draw(self, tmp_path):
+    def test_no_command_loads_scipy_optimize(self, tmp_path):
+        # every convex program is solved on the way: MPE_FULL, MPE_REDUCED and SMINR_AMP
         assert self._run(f"""
             import sys
-            from beamsim import channel, cli
-            sample_channel, loaded = channel.sample_channel, []
+            from beamsim import cli, sim
+            codes = [
+                cli.main(["sweep", *{FAST_ARGS!r}, "--methods", ",".join(sim.ALL_METHODS),
+                          "--threads", "1", "--out", "sweep"]),
+                cli.main(["rate", *{FAST_ARGS!r}, "--threads", "1", "--out", "rate"]),
+                cli.main(["check", "--quick"]),
+            ]
+            print(*codes, "scipy.optimize" in sys.modules)
+        """, tmp_path) == ["0", "0", "0", "False"]
 
-            def spy(*args, **kwargs):
-                loaded.append("scipy.optimize" in sys.modules)
-                return sample_channel(*args, **kwargs)
-
-            channel.sample_channel = spy
-            rc = cli.main(["sweep", *{FAST_ARGS!r}, "--methods", "MPE_FULL",
-                           "--realizations", "1", "--threads", "1", "--out", "run"])
-            print(rc, loaded[0])
-        """, tmp_path) == ["0", "True"]
+    def test_no_module_imports_scipy_optimize(self):
+        package = Path(cli.__file__).parent
+        imports = []
+        for path in sorted(package.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    imports += [(path.name, a.name) for a in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.module:
+                    imports += [(path.name, f"{node.module}.{a.name}") for a in node.names]
+        assert imports  # the scan sees the imports
+        assert [(name, module) for name, module in imports
+                if module == "scipy.optimize" or module.startswith("scipy.optimize.")] == []

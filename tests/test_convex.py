@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.optimize import linprog, minimize
+from scipy.optimize import linprog, lsq_linear, minimize, nnls
 from scipy.special import erfc
 
 from beamsim import analysis, beamformers, channel, convex, modem, sim
@@ -494,3 +494,154 @@ class TestBvlsFeasibility:
             assert np.array_equal(own.weights, reused.weights)
             assert own.objective_value == reused.objective_value
             assert own.iterations == reused.iterations
+
+
+def _nnls_cases(rng, count):
+    """(A, b) pairs of 1-10 rows by 1-8 columns: plain, then with duplicate,
+    zero, collinear and dependent columns in turn."""
+    for trial in range(count):
+        m, n = rng.integers(1, 11), rng.integers(1, 9)
+        A, b = rng.standard_normal((m, n)), rng.standard_normal(m)
+        variant = trial % 5
+        if variant == 1 and n > 1:
+            A[:, 1] = A[:, 0]
+        elif variant == 2:
+            A[:, 0] = 0.0
+        elif variant == 3 and n > 1:
+            A[:, -1] = -2.5 * A[:, 0]
+        elif variant == 4 and n > 2:
+            A[:, 2] = A[:, 0] + A[:, 1]  # rank-deficient
+        yield A, b
+
+
+def _sqp_nnls_cases(monkeypatch):
+    """The NNLS problems of the MPE solves on fig1 draws at 0 dB: the SQP's
+    least-distance problems and the KKT certificates."""
+    cases, own = [], convex._nnls
+
+    def recording(A, b):
+        cases.append((A.copy(), b.copy()))
+        return own(A, b)
+
+    monkeypatch.setattr(convex, "_nnls", recording)
+    scenario = sim.Scenario()
+    rng = np.random.default_rng(60)
+    for _ in range(3):
+        H = channel.sample_channel(scenario.n_antennas, len(scenario.users), rng)
+        for k in range(len(scenario.users)):
+            convex.solve(convex.ConvexProgram(convex.MPE_FULL, H, k, scenario.users,
+                                              sim.snr_db_to_sigma(0.0)))
+    monkeypatch.undo()
+    return cases
+
+
+class TestNnls:
+    """The package's Lawson-Hanson NNLS against scipy's nnls as the oracle."""
+
+    @staticmethod
+    def assert_solves(A, b):
+        u = convex._nnls(A, b)
+        r = np.linalg.norm(A @ u - b)
+        r_oracle = nnls(A, b)[1]
+        assert abs(r - r_oracle) <= 1e-10 * max(1.0, r_oracle)
+        # KKT: u >= 0, no positive dual entry, and complementarity
+        dual = (b - A @ u) @ A
+        tol = 1e-9 * np.linalg.norm(A) * (np.linalg.norm(b) + np.linalg.norm(A) * np.linalg.norm(u))
+        assert u.min() >= 0.0
+        assert dual.max() <= tol
+        assert np.abs(u * dual).max() <= tol * max(1.0, np.linalg.norm(u))
+        return u
+
+    def test_random_and_degenerate_columns(self):
+        for A, b in _nnls_cases(np.random.default_rng(61), 400):
+            self.assert_solves(A, b)
+
+    def test_one_column(self):
+        rng = np.random.default_rng(62)
+        for m in range(1, 11):
+            A, b = rng.standard_normal((m, 1)), rng.standard_normal(m)
+            u = self.assert_solves(A, b)
+            assert u[0] == pytest.approx(max(0.0, A[:, 0] @ b) / (A[:, 0] @ A[:, 0]), rel=1e-14)
+
+    def test_b_in_the_polar_cone_gives_zero(self):
+        # A'b <= 0: b makes an obtuse angle with every column, and u = 0 exactly
+        rng = np.random.default_rng(63)
+        for _ in range(50):
+            A = np.abs(rng.standard_normal((6, 4)))
+            b = -np.abs(rng.standard_normal(6))
+            assert not np.any(self.assert_solves(A, b))
+
+    def test_least_distance_problems_of_the_sphere_sqp(self, monkeypatch):
+        cases = _sqp_nnls_cases(monkeypatch)
+        active = 0
+        for A, b in cases:
+            u = self.assert_solves(A, b)
+            active += A.shape[1] > 1 and np.count_nonzero(u) >= 2
+        # several problems have two or more active rows at 0 dB
+        assert active >= 5
+
+    @pytest.mark.parametrize("where", ["A", "b"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_is_refused(self, where, value):
+        A, b = np.ones((3, 2)), np.zeros(3)
+        b[0] = 1.0
+        # the bad entry sits where b is zero, so A'b alone would not show it
+        (A if where == "A" else b)[1] = value
+        with pytest.raises(ValueError, match="finite"):
+            convex._nnls(A, b)
+
+
+class TestBvls:
+    """The package's Stark-Parker BVLS against scipy's lsq_linear as the oracle."""
+
+    @staticmethod
+    def assert_solves(B, a):
+        t, iterations = convex._bvls(B, a)
+        r = np.linalg.norm(a - B @ t)
+        oracle = lsq_linear(B, a, bounds=(-1.0, 1.0), method="bvls")
+        r_oracle = np.linalg.norm(a - B @ oracle.x)
+        tol = 1e-10 * max(1.0, r_oracle)
+        assert r <= r_oracle + tol
+        if oracle.status > 0:  # status 0: scipy stopped at its iteration cap
+            assert r >= r_oracle - tol
+        # KKT: t in the box, and no variable's descent direction points into it
+        descent = (a - B @ t) @ B
+        kkt_tol = 1e-9 * np.linalg.norm(B) * np.linalg.norm(a)
+        assert np.abs(t).max() <= 1.0
+        assert np.all(np.where(t < 1.0, descent, -np.inf) <= kkt_tol)
+        assert np.all(np.where(t > -1.0, descent, np.inf) >= -kkt_tol)
+        assert 1 <= iterations <= 3 * B.shape[1]
+        return t
+
+    def test_random_problems(self):
+        rng = np.random.default_rng(64)
+        for A, b in _nnls_cases(rng, 300):
+            self.assert_solves(A * rng.uniform(0.1, 3.0), b * rng.uniform(0.1, 3.0))
+
+    def test_optima_at_both_bounds_and_inside(self):
+        t = self.assert_solves(np.eye(3), np.array([2.0, -3.0, 0.5]))
+        np.testing.assert_allclose(t, [1.0, -1.0, 0.5], rtol=1e-14)
+
+    @pytest.mark.parametrize("N", [1, 4])
+    def test_margin_agrees_with_lsq_linear(self, N):
+        # N = 1 gives a 2 x 3 matrix U': more variables than equations
+        rng = np.random.default_rng(65 + N)
+        cs = [modem.unit_energy_pam(8)] * 4
+        for _ in range(10):
+            H = channel.sample_channel(N, 4, rng)
+            for k in range(4):
+                prog = convex.ConvexProgram(convex.SMINR_AMP, H, k, cs, 1.0)
+                self.assert_solves(prog.U.T, prog.a)
+                oracle = lsq_linear(prog.U.T, prog.a, bounds=(-1.0, 1.0), method="bvls")
+                margin = np.linalg.norm(prog.a - prog.U.T @ oracle.x)
+                assert convex._maximize_margin(prog).margin == pytest.approx(
+                    margin, rel=1e-10, abs=1e-12)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_input_is_refused(self, value):
+        B, a = np.eye(2), np.ones(2)
+        B[0, 1] = value
+        with pytest.raises(ValueError, match="finite"):
+            convex._bvls(B, a)
+        with pytest.raises(ValueError, match="finite"):
+            convex._bvls(np.eye(2), np.array([1.0, value]))

@@ -39,7 +39,7 @@ class TestScenario:
     def test_dict_round_trip(self, tmp_path):
         # the scenario object of sweep.json rebuilds the scenario
         s = tiny_scenario(csi_error_var=0.001)
-        cli._write_outputs(tmp_path, s, [])
+        cli._write_outputs(tmp_path, s, [], 1)
         d = json.loads((tmp_path / "sweep.json").read_text())["scenario"]
         users = tuple(modem.Constellation(**u) for u in d.pop("users"))
         assert sim.Scenario(**d, users=users) == s
@@ -226,7 +226,7 @@ class TestRunSweep:
         for n_workers in (1, 2):
             result = sim.qam_reference_sweep(s, n_workers=n_workers)
             (tmp_path / str(n_workers)).mkdir()
-            cli._write_outputs(tmp_path / str(n_workers), s, [result])
+            cli._write_outputs(tmp_path / str(n_workers), s, [result], n_workers)
         for name in ("sweep.csv", "sweep.json"):
             assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
 
@@ -483,7 +483,7 @@ class TestOutputFormats:
     def test_csv_columns(self, tmp_path):
         s = tiny_scenario()
         res = sim.run_sweep(s)
-        cli._write_outputs(tmp_path, s, [res])
+        cli._write_outputs(tmp_path, s, [res], 1)
         lines = (tmp_path / "sweep.csv").read_text().strip().splitlines()
         assert lines[0].split(",") == [f.name for f in dataclasses.fields(sim.SweepRow)]
         assert len(lines) == 1 + len(res)
@@ -491,7 +491,7 @@ class TestOutputFormats:
     def test_json_is_valid_and_nan_free(self, tmp_path):
         s = tiny_scenario(n_symbols=0)
         res = sim.run_sweep(s)
-        cli._write_outputs(tmp_path, s, [res])
+        cli._write_outputs(tmp_path, s, [res], 1)
 
         def refuse(constant):
             raise AssertionError(f"{constant} in sweep.json")
