@@ -71,7 +71,7 @@ def check_qsum_sign_symmetry(rng, quick):
         H = channel.sample_channel(3, 3, rng)
         w = _random_unit_complex(3, rng)
         args = analysis.pe_arguments(w, H, 0, cs, 0.5, ts)
-        flipped = modem.InterfererTupleSet(ts.users, -ts.tuples, ts.peaks)
+        flipped = modem.InterfererTupleSet(ts.users, -ts.tuples, ts.peaks, ts.peak_rows)
         args_neg = analysis.pe_arguments(w, H, 0, cs, 0.5, flipped)
         s1 = float(np.sum(analysis.q_function(args)))
         s2 = float(np.sum(analysis.q_function(args_neg)))

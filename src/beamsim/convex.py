@@ -22,15 +22,16 @@ weights.
 The MPE optimum lies on the unit sphere, where the feasible set is cut out
 by the homogeneous peak rows G w >= 0. The MPE programs are solved there by
 a sphere SQP from the maximum-margin point: each iteration takes the exact
-Riemannian Newton model in an orthonormal tangent basis, minimizes it
-subject to the linearized peak rows as a least-distance problem solved by
-NNLS, which handles active and degenerate (tied) rows, and backtracks along
-the normalizing retraction. One pass over the tuple rows at a point gives
-the objective, the gradient and the Hessian row weights; the SQP keeps
-those of the accepted point for its next model. A caller that solves both
-MPE programs at one noise level can start the second from the first's
-optimum (``solve(start=...)``); its SQP then stops at the first model
-check.
+Riemannian Newton model in an orthonormal tangent basis and its plain
+Newton step when that step keeps every linearized peak row; otherwise it
+minimizes the model subject to those rows as a least-distance problem
+solved by NNLS, which handles active and degenerate (tied) rows. It then
+backtracks along the normalizing retraction. One pass over the tuple rows
+at a point gives the objective, the gradient and the Hessian row weights;
+the SQP keeps those of the accepted point for its next model. A caller
+that solves both MPE programs at one noise level can start the second from
+the first's optimum (``solve(start=...)``): a start that passes the KKT
+certificate is returned at once, without an SQP step.
 
 Both active-set solvers are the package's own: ``_nnls`` is Lawson &
 Hanson's NNLS (Solving Least Squares Problems, 1974, ch. 23) and ``_bvls``
@@ -100,14 +101,14 @@ class ConvexProgram:
         lifted = lift_channel(self.H)
         self.a = self.constellations[k].step * lifted[:, k]
         tuple_set = enumerate_interferers(self.constellations, k)
-        others = list(tuple_set.users)
-        self.U = tuple_set.peaks[:, None] * lifted[:, others].T
+        # row j: htilde of the j-th interferer
+        cross = lifted[:, list(tuple_set.users)].T
+        self.U = tuple_set.peaks[:, None] * cross
 
         # rows: a - sum_j sbar_b[j] htilde_j, one per interferer tuple
-        self.G_objective = self.a[None, :] - tuple_set.tuples @ lifted[:, others].T
+        self.G_objective = self.a[None, :] - tuple_set.tuples @ cross
         # the 2^(K-1) rows with every interferer at a peak symbol
-        peak = np.all(np.abs(tuple_set.tuples) == tuple_set.peaks, axis=1)
-        self.G_constraints = self.G_objective[peak]
+        self.G_constraints = self.G_objective[tuple_set.peak_rows]
         L = self.constellations[k].order
         self.prefactor = 2.0 * (L - 1) / (L * self.G_objective.shape[0])
 
@@ -171,11 +172,12 @@ def _mpe_evaluate(program: ConvexProgram, w_bar: np.ndarray):
     The Hessian is G' diag(weights) G with weights = args phi(args) p / sbar^2,
     where args = G w / sbar, p is the prefactor and sbar the noise scale.
     """
-    args = (program.G_objective @ w_bar) / program.noise_scale
+    G, scale, prefactor = program.G_objective, program.noise_scale, program.prefactor
+    args = (G @ w_bar) / scale
     phi = np.exp(-0.5 * args**2) / _SQRT_2PI
-    value = program.prefactor * float(np.sum(0.5 * erfc(args / math.sqrt(2.0))))
-    grad = -(program.prefactor / program.noise_scale) * (phi @ program.G_objective)
-    weights = args * phi * (program.prefactor / program.noise_scale**2)
+    value = prefactor * float((0.5 * erfc(args / math.sqrt(2.0))).sum())
+    grad = -(prefactor / scale) * (phi @ G)
+    weights = args * phi * (prefactor / scale**2)
     return value, grad, weights
 
 
@@ -320,11 +322,14 @@ def _sphere_sqp(program: ConvexProgram, w0: np.ndarray):
     2008), where Z is an orthonormal basis of the tangent space at w and
     B = Z' hess(f) Z - (g.w) I, subject to the linearized peak rows
     G (w + Zd) >= 0. On the feasible set hess(f) is positive semidefinite
-    and g.w < 0, so B = LL' is positive definite and the step is the
-    least-distance problem min ||y|| over E y >= E h - G w with y = L'd + h,
-    h = L^-1 Z'g and E = G Z L^-T, solved by NNLS (Lawson & Hanson, 1974,
-    ch. 23). Z' hess(f) Z is formed as (G_obj Z)' diag(weights) (G_obj Z)
-    from the tuple rows and the Hessian weights of the current point. The
+    and g.w < 0, so B is positive definite. The step is the Newton step
+    d = -B^-1 Z'g, one linear solve, when G (w + Zd) >= 0 holds on every
+    peak row. Otherwise, with B = LL', it is the least-distance problem
+    min ||y|| over E y >= E h - G w with y = L'd + h, h = L^-1 Z'g and
+    E = G Z L^-T, solved by NNLS (Lawson & Hanson, 1974, ch. 23); that
+    problem's u = 0 test is the same row test. Z' hess(f) Z is formed as
+    (G_obj Z)' diag(weights) (G_obj Z) from the tuple rows and the Hessian
+    weights of the current point. The
     rows are homogeneous, so every point of the retraction
     (w + aZd)/||w + aZd|| with a in [0, 1] is feasible; an Armijo backtrack
     picks a. The loop stops when the predicted or the realized decrease
@@ -338,8 +343,7 @@ def _sphere_sqp(program: ConvexProgram, w0: np.ndarray):
     n = w0.size
     w = w0 / np.linalg.norm(w0)
     f, g, weights = _mpe_evaluate(program, w)
-    e = np.zeros(n)
-    e[-1] = 1.0
+    eye = np.eye(n)
     trace = []
     for iteration in range(1, _SQP_MAX_ITER + 1):
         gw = float(g @ w)
@@ -348,34 +352,31 @@ def _sphere_sqp(program: ConvexProgram, w0: np.ndarray):
         # the Householder reflector taking w to -+e_0; its other columns span w-perp
         v = w.copy()
         v[0] += math.copysign(1.0, w[0])
-        Z = np.eye(n)[:, 1:] - np.outer(v, v[1:]) * (2.0 / (v @ v))
+        Z = eye[:, 1:] - v[:, None] * v[1:] * (2.0 / (v @ v))
         GZ = G_obj @ Z
         # B and Z'g scaled by 1/|g.w|, which leaves the step unchanged
-        B = (GZ.T * (weights / -gw)) @ GZ + np.eye(n - 1)
-        # B >= I, so ||L^-1|| <= 1 and products with L^-1 are as accurate as
-        # triangular solves
-        L_inv = np.linalg.inv(np.linalg.cholesky(B))
-        h = L_inv @ (Z.T @ g / -gw)
-        Et = L_inv @ (G @ Z).T
-        # the NNLS's dual vector at u = 0: when every entry is <= 0, u = 0 and
-        # the Newton step satisfies the linearized rows; otherwise (a NaN
-        # included) _nnls solves it, and refuses h and E' if they are not finite
-        dual = h @ Et - G @ w
-        y = -h
-        if not dual.max() <= 0.0:
-            A = np.vstack([Et, dual])
-            r = A @ _nnls(A, e) - e
+        B = (GZ.T * (weights / -gw)) @ GZ + eye[1:, 1:]
+        q = Z.T @ g / -gw
+        step = Z @ np.linalg.solve(B, -q)
+        # the Newton step, unless it leaves a linearized peak row (or reads NaN)
+        if not (G @ (w + step)).min() >= 0.0:
+            # B >= I, so ||L^-1|| <= 1 and products with L^-1 are as accurate
+            # as triangular solves; _nnls refuses h and E' if not finite
+            L_inv = np.linalg.inv(np.linalg.cholesky(B))
+            h = L_inv @ q
+            Et = L_inv @ (G @ Z).T
+            A = np.vstack([Et, h @ Et - G @ w])
+            r = A @ _nnls(A, eye[-1]) - eye[-1]
             if not r[-1] < 0.0:
                 break
-            y = -r[:-1] / r[-1] - h
-        step = Z @ (L_inv.T @ y)
+            step = Z @ (L_inv.T @ (-r[:-1] / r[-1] - h))
         slope = float(g @ step)
         if not -slope > _EPS * f:
             break
         alpha = 1.0
         for _ in range(40):
             cand = w + alpha * step
-            cand /= np.linalg.norm(cand)
+            cand /= math.sqrt(cand @ cand)
             f_cand, g_cand, weights_cand = _mpe_evaluate(program, cand)
             if f_cand <= f + 1e-4 * alpha * slope:
                 break
@@ -392,16 +393,18 @@ def _sphere_sqp(program: ConvexProgram, w0: np.ndarray):
 
 def _kkt_residual(program: ConvexProgram, w_bar: np.ndarray, grad: np.ndarray) -> float:
     """Distance of -grad from the cone spanned by the active peak-row normals
-    and, on the sphere, the sphere normal."""
+    and, on the sphere, the sphere normal, or the largest peak-row violation
+    if that is larger: a point off the feasible set is not certified."""
     columns = [-2.0 * w_bar] if np.linalg.norm(w_bar) >= 1.0 - 1e-7 else []
     margins = program.G_constraints @ w_bar
+    violation = max(0.0, -float(margins.min()))
     for i in np.nonzero(margins <= 1e-7)[0]:
         columns.append(program.G_constraints[i])
     if not columns:
-        return float(np.linalg.norm(grad))
+        return max(float(np.linalg.norm(grad)), violation)
     A = np.stack(columns, axis=1)
     r = A @ _nnls(A, grad) - grad
-    return math.sqrt(r @ r)
+    return max(math.sqrt(r @ r), violation)
 
 
 def solve(program: ConvexProgram, start: np.ndarray = None,
@@ -415,9 +418,13 @@ def solve(program: ConvexProgram, start: np.ndarray = None,
     no weights, a nan KKT residual and the certified maximum as ``margin``;
     the caller decides on a fallback. SMINR_AMP is solved by the feasibility
     phase itself and reports its duality gap as ``kkt_residual``. The MPE
-    programs run ``_sphere_sqp`` on the peak rows; ``iterations`` counts its
-    steps and ``kkt_residual`` is certified against the same rows. ``start``
-    optionally overrides the MPE warm start with a lifted feasible point.
+    programs run ``_sphere_sqp`` on the peak rows from the maximum-margin
+    point; ``iterations`` counts its steps and ``kkt_residual`` is certified
+    against the same rows. ``start`` optionally replaces that point with a
+    lifted one, which is normalized and certified first: a start that is
+    feasible and has a KKT residual of at most ``TOL_KKT`` times min(1,
+    |grad|) is returned as the optimum with 0 iterations and no SQP, and any
+    other start begins the SQP.
     """
     feas = feasible if feasible is not None else _maximize_margin(program)
     if feas.w_bar is None:
@@ -430,17 +437,25 @@ def solve(program: ConvexProgram, start: np.ndarray = None,
         return SolveReport(unlift_weights(feas.w_bar), margin / program.noise_scale,
                            margin, status, feas.iterations, feas.gap, feas)
 
-    w_bar, value, grad, trace = _sphere_sqp(
-        program, np.asarray(start if start is not None else feas.w_bar, dtype=float)
-    )
-    kkt = _kkt_residual(program, w_bar, grad)
+    w_bar, iterations, certified = feas.w_bar, 0, False
+    if start is not None:
+        w_bar = np.asarray(start, dtype=float)
+        w_bar = w_bar / np.linalg.norm(w_bar)
+        value, grad, _ = _mpe_evaluate(program, w_bar)
+        kkt = _kkt_residual(program, w_bar, grad)
+        # relative to |grad| too: at high SNR the gradient of every feasible
+        # point can lie far below TOL_KKT
+        certified = kkt <= TOL_KKT * min(1.0, float(np.linalg.norm(grad)))
+    if not certified:
+        w_bar, value, grad, trace = _sphere_sqp(program, w_bar)
+        iterations = len(trace)
+        kkt = _kkt_residual(program, w_bar, grad)
     return SolveReport(
         weights=unlift_weights(w_bar),
         objective_value=value,
         margin=program.reduced_margin(w_bar),
         status=OPTIMAL if kkt <= TOL_KKT else MAX_ITER,
-        iterations=len(trace),
+        iterations=iterations,
         kkt_residual=kkt,
         feasibility=feas,
     )
-

@@ -102,11 +102,14 @@ class InterfererTupleSet:
 
     ``users`` holds the 0-based j != k in ascending order, the column order
     of ``tuples`` (count, K-1) and of ``peaks``, the largest symbols s_j(L_j).
+    ``peak_rows`` indexes the 2^(K-1) tuples with every interferer at +-its
+    peak, in ascending order; negating every tuple keeps it.
     """
 
     users: tuple
     tuples: np.ndarray
     peaks: np.ndarray
+    peak_rows: np.ndarray
 
     @property
     def count(self) -> int:
@@ -118,8 +121,8 @@ def enumerate_interferers(constellations, k: int) -> InterfererTupleSet:
 
     User indices ascend across columns and the amplitude index of the largest
     j varies fastest, giving a deterministic ordering. Results are memoized
-    on (constellations, k) and shared between callers, so ``tuples`` and
-    ``peaks`` are read-only.
+    on (constellations, k) and shared between callers, so ``tuples``,
+    ``peaks`` and ``peak_rows`` are read-only.
     """
     n_users = len(constellations)
     if not 0 <= k < n_users:
@@ -134,9 +137,10 @@ def _enumerate_interferers(constellations: tuple, k: int) -> InterfererTupleSet:
     tuples = np.array(list(itertools.product(
         *(constellations[j].symbol_values() for j in others))), dtype=float)
     peaks = np.array([constellations[j].max_symbol for j in others])
-    tuples.setflags(write=False)
-    peaks.setflags(write=False)
-    return InterfererTupleSet(users=others, tuples=tuples, peaks=peaks)
+    peak_rows = np.flatnonzero(np.all(np.abs(tuples) == peaks, axis=1))
+    for array in (tuples, peaks, peak_rows):
+        array.setflags(write=False)
+    return InterfererTupleSet(users=others, tuples=tuples, peaks=peaks, peak_rows=peak_rows)
 
 
 def draw_symbols(constellations, rng: np.random.Generator, size: int):

@@ -276,7 +276,8 @@ def _run_realization(scenario: Scenario, r_index: int, tuple_sets, quadratures):
         if n_sym > 0:
             r_block = channel.add_noise(clean, sigma_z, noise)
         # user k's lifted optimum of the MPE kind solved first at this
-        # sigma_z starts the other kind, which is the same program
+        # sigma_z starts the other kind, which is the same program: solve
+        # certifies that start and returns it without an SQP step
         mpe_start = [None] * K
         for mi, method in enumerate(scenario.methods):
             mpe = method in (MPE_FULL, MPE_REDUCED)

@@ -181,50 +181,131 @@ class TestSharedEvaluation:
 
     @pytest.mark.parametrize("kind", [convex.MPE_FULL, convex.MPE_REDUCED])
     def test_newton_matrix_uses_hessian_at_the_iterate(self, kind, monkeypatch):
-        # every Cholesky factorization of the SQP is of the Newton matrix at
-        # the current iterate: the start, then each accepted candidate
-        evaluated, factored = [], []
-        evaluate, cholesky = convex._mpe_evaluate, np.linalg.cholesky
-
-        def recording_evaluate(program, w_bar):
-            result = evaluate(program, w_bar)
-            evaluated.append((w_bar.copy(), result[0], result[1]))
-            return result
-
-        def recording_cholesky(B):
-            factored.append(B.copy())
-            return cholesky(B)
-
-        monkeypatch.setattr(convex, "_mpe_evaluate", recording_evaluate)
-        monkeypatch.setattr(np.linalg, "cholesky", recording_cholesky)
+        # every linear solve of the SQP is with the Newton matrix at the
+        # current iterate: the start, then each accepted candidate
         cs = [modem.unit_energy_pam(8)] * 4
         H = channel.sample_channel(4, 4, np.random.default_rng(64))
         prog = convex.ConvexProgram(kind, H, 0, cs, sim.snr_db_to_sigma(10.0))
-        trace = convex._sphere_sqp(prog, convex._maximize_margin(prog).w_bar)[3]
-        iterates = [evaluated[0]] + [
-            next(ev for ev in evaluated if ev[1] == row[1]) for row in trace
-        ]
+        models, trace = record_sqp_models(prog, monkeypatch)
         assert len(trace) >= 2
-        assert len(factored) in (len(iterates), len(iterates) - 1)
+        assert len(models) in (len(trace) + 1, len(trace))
         n = prog.dimension
-        for (w, _, g), B in zip(iterates, factored):
-            v = w.copy()
-            v[0] += math.copysign(1.0, w[0])
-            Z = np.eye(n)[:, 1:] - np.outer(v, v[1:]) * (2.0 / (v @ v))
+        for w, g, B, _, _ in models:
+            Z = tangent_basis(w)
             expected = Z.T @ reference_hessian(prog, w) @ Z / -(g @ w) + np.eye(n - 1)
             np.testing.assert_allclose(B, expected, rtol=1e-10, atol=1e-12)
 
 
+def tangent_basis(w):
+    """The SQP's orthonormal basis of w-perp: a Householder reflector's columns."""
+    v = w.copy()
+    v[0] += math.copysign(1.0, w[0])
+    return np.eye(w.size)[:, 1:] - np.outer(v, v[1:]) * (2.0 / (v @ v))
+
+
+def record_sqp_models(prog, monkeypatch):
+    """Run the sphere SQP from the maximum-margin point and return its models
+    with the trace. A model is (w, g, B, rhs, d) at the iterate w with
+    gradient g: the linear solve B d = rhs for the Newton step Z d."""
+    evaluated, solves = [], []
+    evaluate, linear_solve = convex._mpe_evaluate, np.linalg.solve
+
+    def recording_evaluate(program, w_bar):
+        result = evaluate(program, w_bar)
+        evaluated.append((w_bar.copy(), result[0], result[1]))
+        return result
+
+    def recording_solve(B, rhs):
+        d = linear_solve(B, rhs)
+        solves.append((B.copy(), rhs.copy(), d.copy()))
+        return d
+
+    feas = convex._maximize_margin(prog)
+    monkeypatch.setattr(convex, "_mpe_evaluate", recording_evaluate)
+    monkeypatch.setattr(np.linalg, "solve", recording_solve)
+    trace = convex._sphere_sqp(prog, feas.w_bar)[3]
+    monkeypatch.undo()
+    iterates = [evaluated[0]] + [next(ev for ev in evaluated if ev[1] == row[1])
+                                 for row in trace]
+    return [(w, g, *solve) for (w, _, g), solve in zip(iterates, solves)], trace
+
+
+def least_distance_step(prog, w, B, q):
+    """The step minimizing 1/2 d'Bd + q'd subject to G (w + Zd) >= 0, always
+    through the NNLS of its least-distance form, with B = LL'."""
+    G, Z = prog.G_constraints, tangent_basis(w)
+    L_inv = np.linalg.inv(np.linalg.cholesky(B))
+    h = L_inv @ q
+    Et = L_inv @ (G @ Z).T
+    A = np.vstack([Et, h @ Et - G @ w])
+    e = np.zeros(w.size)
+    e[-1] = 1.0
+    r = A @ convex._nnls(A, e) - e
+    return Z @ (L_inv.T @ (-r[:-1] / r[-1] - h))
+
+
+class TestNewtonFirstStep:
+    @pytest.mark.parametrize("snr_db", [0.0, 10.0])
+    def test_kept_newton_step_is_the_least_distance_step(self, snr_db, monkeypatch):
+        # when the Newton step keeps every peak row, the NNLS of the
+        # least-distance problem gives the same step; at 0 dB some steps leave
+        # a row and take the NNLS, whose step never does
+        scenario = sim.Scenario()
+        rng = np.random.default_rng(68)
+        kept = left = 0
+        for _ in range(3):
+            H = channel.sample_channel(scenario.n_antennas, len(scenario.users), rng)
+            for k in range(len(scenario.users)):
+                prog = convex.ConvexProgram(convex.MPE_FULL, H, k, scenario.users,
+                                            sim.snr_db_to_sigma(snr_db))
+                for w, _, B, rhs, d in record_sqp_models(prog, monkeypatch)[0]:
+                    newton = tangent_basis(w) @ d
+                    if (prog.G_constraints @ (w + newton)).min() >= 0.0:
+                        kept += 1
+                        old = least_distance_step(prog, w, B, -rhs)
+                        assert np.linalg.norm(old - newton) <= 1e-12 * np.linalg.norm(newton)
+                    else:
+                        left += 1
+                        step = least_distance_step(prog, w, B, -rhs)
+                        assert (prog.G_constraints @ (w + step)).min() >= -1e-12
+        assert kept >= 5
+        if snr_db == 0.0:
+            assert left >= 5
+
+
 class TestSolve:
-    def test_full_and_reduced_agree(self):
+    def test_start_at_the_optimum_is_returned_without_sqp(self, monkeypatch):
+        # the two MPE kinds are one program: started at the MPE_FULL optimum,
+        # the MPE_REDUCED solve certifies the start and returns it
+        solved = []
         for seed in range(6):
             prog_f, H, cs = make_program(seed, convex.MPE_FULL, sigma=0.1)
-            prog_r = convex.ConvexProgram(convex.MPE_REDUCED, H, 0, cs, 0.1)
-            rep_f = convex.solve(prog_f)
-            rep_r = convex.solve(prog_r)
+            solved.append((convex.solve(prog_f),
+                           convex.ConvexProgram(convex.MPE_REDUCED, H, 0, cs, 0.1)))
+
+        def fail_sqp(*args):
+            raise AssertionError("_sphere_sqp called")
+
+        monkeypatch.setattr(convex, "_sphere_sqp", fail_sqp)
+        for rep_f, prog_r in solved:
             assert rep_f.status == convex.OPTIMAL
+            rep_r = convex.solve(prog_r, start=beamformers.lift_weights(rep_f.weights))
             assert rep_r.status == convex.OPTIMAL
-            assert rep_f.objective_value == pytest.approx(rep_r.objective_value, rel=1e-8, abs=1e-15)
+            assert rep_r.iterations == 0
+            assert rep_r.objective_value == pytest.approx(rep_f.objective_value, rel=1e-14)
+            np.testing.assert_allclose(rep_r.weights, rep_f.weights, rtol=0, atol=1e-15)
+
+    def test_random_start_runs_the_sqp_to_the_same_optimum(self):
+        rng = np.random.default_rng(13)
+        for seed in range(6):
+            prog_f, H, cs = make_program(seed, convex.MPE_FULL, sigma=0.1)
+            rep_f = convex.solve(prog_f)
+            prog_r = convex.ConvexProgram(convex.MPE_REDUCED, H, 0, cs, 0.1)
+            start = convex.random_feasible_start(prog_r, rng, rep_f.feasibility.w_bar)
+            rep_r = convex.solve(prog_r, start=start)
+            assert rep_r.status == convex.OPTIMAL
+            assert rep_r.iterations >= 1
+            assert rep_r.objective_value == pytest.approx(rep_f.objective_value, rel=1e-10)
 
     def test_solution_is_unit_norm_feasible_stationary(self):
         prog, H, cs = make_program(12, convex.MPE_FULL, sigma=0.1)
@@ -332,15 +413,12 @@ class TestSphereSqp:
         for _ in range(4):
             H = channel.sample_channel(4, 4, rng)
             for k in range(4):
-                feas = None
-                for kind in (convex.MPE_FULL, convex.MPE_REDUCED):
-                    prog = convex.ConvexProgram(kind, H, k, cs, sigma)
-                    rep = convex.solve(prog, feasible=feas)
-                    feas = rep.feasibility
-                    assert rep.status == convex.OPTIMAL
-                    assert rep.kkt_residual <= 1e-6
-                    oracle = slsqp_oracle(prog, feas.w_bar)
-                    assert rep.objective_value <= oracle * (1.0 + 1e-10)
+                prog = convex.ConvexProgram(convex.MPE_FULL, H, k, cs, sigma)
+                rep = convex.solve(prog)
+                assert rep.status == convex.OPTIMAL
+                assert rep.kkt_residual <= 1e-6
+                oracle = slsqp_oracle(prog, rep.feasibility.w_bar)
+                assert rep.objective_value <= oracle * (1.0 + 1e-10)
 
     def test_degenerate_active_rows(self):
         # at 0 dB the optimum for user 0 on this draw zero-forces interferer
@@ -374,6 +452,18 @@ class TestSphereSqp:
                 margin, resid = certify_on_tuple_rows(prog, rep.weights)
                 assert margin >= -1e-12
                 assert resid <= convex.TOL_KKT
+
+    def test_certificate_refuses_a_violated_row(self):
+        # every peak row is violated at -w_feas; a gradient in the cone of
+        # two of them is stationary on the active rows, but the point is
+        # infeasible and the residual reports the violation
+        prog, _, _ = make_program(14, convex.MPE_FULL)
+        w = -convex._maximize_margin(prog).w_bar
+        G = prog.G_constraints
+        assert (G @ w).max() < 0.0
+        kkt = convex._kkt_residual(prog, w, G[0] + 2.0 * G[1])
+        assert kkt == pytest.approx(-(G @ w).min(), rel=1e-12)
+        assert kkt > convex.TOL_KKT
 
     def test_underflowed_gradient_keeps_start(self):
         # at 60 dB every Q term of the maximum-margin point underflows to zero
