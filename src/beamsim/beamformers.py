@@ -1,6 +1,21 @@
 """Closed-form receive beamformers: ZF, MMSE, and the maximum-SMINR eigenvector."""
 
+import math
+
 import numpy as np
+
+
+def _norm(x: np.ndarray) -> float:
+    """2-norm of a 1-D float64 or complex128 array, bit for bit that of
+    np.linalg.norm, without its Python-level checks, which cost more than
+    the sum at N = 4. A strided x is copied first, as norm does, because
+    BLAS sums a strided vector in another order; ``dot`` is norm's own
+    product (``@`` on two vectors takes twice as long)."""
+    x = x.ravel()
+    if x.dtype.kind == "c":
+        re, im = x.real, x.imag
+        return math.sqrt(re.dot(re) + im.dot(im))
+    return math.sqrt(x.dot(x))
 
 
 def lift_weights(w: np.ndarray) -> np.ndarray:
@@ -33,7 +48,8 @@ def align_phase(w: np.ndarray, h_k: np.ndarray) -> np.ndarray:
     g = w @ h_k
     if g == 0:
         raise ValueError("cannot align phase: w h_k is zero")
-    return w * np.exp(-1j * np.angle(g))
+    # np.angle's own body, for a complex g
+    return w * np.exp(-1j * np.arctan2(g.imag, g.real))
 
 
 def zf(H: np.ndarray, k: int) -> np.ndarray:
@@ -51,7 +67,7 @@ def zf(H: np.ndarray, k: int) -> np.ndarray:
     # the rank check leaves every s above pinv's 1e-15 s[0] cutoff: pinv's product
     w = (vt.T @ ((1 / s)[:, None] * u.T))[k]
     w = align_phase(w, H[:, k])
-    return w / np.linalg.norm(w)
+    return w / _norm(w)
 
 
 def mmse(H: np.ndarray, k: int, sigma_z: float, symbol_energies) -> np.ndarray:
@@ -64,10 +80,11 @@ def mmse(H: np.ndarray, k: int, sigma_z: float, symbol_energies) -> np.ndarray:
         raise ValueError("sigma_z must be positive")
     N = H.shape[0]
     Es = np.asarray(symbol_energies, dtype=float)
-    R = H @ np.diag(Es) @ H.conj().T + sigma_z**2 * np.eye(N)
+    # H * Es is H diag(Es), without the K x K product
+    R = (H * Es) @ H.conj().T + sigma_z**2 * np.eye(N)
     w = H[:, k].conj() @ np.linalg.inv(R)
     w = align_phase(w, H[:, k])
-    return w / np.linalg.norm(w)
+    return w / _norm(w)
 
 
 def sminr_quadratic_form(H: np.ndarray, k: int, constellations) -> np.ndarray:
@@ -75,11 +92,12 @@ def sminr_quadratic_form(H: np.ndarray, k: int, constellations) -> np.ndarray:
 
     M = d^2 E_g htilde_k htilde_k^T - sum_{j != k} s_j(L_j)^2 htilde_j htilde_j^T.
     """
-    lifted = lift_channel(H)
-    M = constellations[k].step**2 * np.outer(lifted[:, k], lifted[:, k])
+    # row j is htilde_j; h[:, None] * h is np.outer's own body
+    rows = lift_channel(H).T
+    M = constellations[k].step**2 * (rows[k][:, None] * rows[k])
     for j in range(H.shape[1]):
         if j != k:
-            M -= constellations[j].max_symbol ** 2 * np.outer(lifted[:, j], lifted[:, j])
+            M -= constellations[j].max_symbol ** 2 * (rows[j][:, None] * rows[j])
     return M
 
 

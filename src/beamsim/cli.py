@@ -25,6 +25,8 @@ class ConfigError(Exception):
 # steps by which a range's last point may pass its stop, for rounding in
 # (stop - start) / step: 0:0.1:0.3 has 4 points
 SNR_RANGE_TOL = 1e-9
+# the thread variables of BLAS and OpenMP that the manifest records
+THREAD_ENV = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _parse_snr(text: str):
@@ -158,11 +160,15 @@ def _make_out_dir(out_dir) -> None:
         raise ConfigError(f"cannot write to the output directory: {exc}") from None
 
 
-def _write_outputs(out_dir, scenario, row_lists, n_workers, csi_vars=None):
+def _write_outputs(out_dir, scenario, row_lists, n_workers, csi_vars=None, started=None):
     """Write sweep.csv, sweep.json and manifest.json for the SweepRow lists of
     ``row_lists``, one per sweep, into the existing directory ``out_dir``.
-    The manifest records the python, numpy and scipy versions and the number
-    of worker processes the sweeps ran on for ``n_workers`` asked for.
+    The manifest records the python, numpy and scipy versions, the number
+    of worker processes the sweeps ran on for ``n_workers`` asked for and
+    the BLAS thread variables of the environment. With ``started``, the
+    ``(time.perf_counter(), os.times())`` at the command's start, it also
+    records the command's wall time and its CPU time, its own plus that of
+    its finished worker processes, up to this call.
 
     The row columns are the SweepRow fields in order and the scenario object
     is ``dataclasses.asdict(scenario)``. CSV numbers are written with 17
@@ -195,7 +201,13 @@ def _write_outputs(out_dir, scenario, row_lists, n_workers, csi_vars=None):
         "numpy": np.__version__,
         "scipy": scipy.__version__,
         "workers": sim.worker_count(n_workers, scenario.n_realizations),
+        "thread_env": {name: os.environ.get(name) for name in THREAD_ENV},
     }
+    if started is not None:
+        wall0, times0 = started
+        manifest["wall_s"] = time.perf_counter() - wall0
+        # user and system time of the process and of its waited-for children
+        manifest["cpu_s"] = sum(os.times()[:4]) - sum(times0[:4])
     for name, text in (
         (csv_path, "\n".join(lines)),
         (json_path, json.dumps({"scenario": scenario_dict, "rows": rows}, indent=2)),
@@ -211,7 +223,7 @@ def cmd_sweep(args) -> int:
     _make_out_dir(args.out)
     n_workers = _n_workers(args)
     rows = sim.run_sweep(scenario, n_workers=n_workers)
-    print(f"wrote {_write_outputs(args.out, scenario, [rows], n_workers)}")
+    print(f"wrote {_write_outputs(args.out, scenario, [rows], n_workers, started=args.started)}")
     return 0
 
 
@@ -230,7 +242,8 @@ def cmd_rate(args) -> int:
     n_workers = _n_workers(args)
     rows = sim.run_sweep(scenario, n_workers=n_workers)
     qam = sim.qam_reference_sweep(qam_scenario, n_workers=n_workers)
-    print(f"wrote {_write_outputs(args.out, scenario, [rows, qam], n_workers)}")
+    path = _write_outputs(args.out, scenario, [rows, qam], n_workers, started=args.started)
+    print(f"wrote {path}")
     return 0
 
 
@@ -244,7 +257,9 @@ def cmd_csi(args) -> int:
     row_lists = [sim.run_sweep(dataclasses.replace(scenario, csi_error_var=var),
                                n_workers=n_workers)
                  for var in variances]
-    print(f"wrote {_write_outputs(args.out, scenario, row_lists, n_workers, csi_vars=variances)}")
+    path = _write_outputs(args.out, scenario, row_lists, n_workers, csi_vars=variances,
+                          started=args.started)
+    print(f"wrote {path}")
     return 0
 
 
@@ -301,8 +316,10 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    started = time.perf_counter(), os.times()
     parser = make_parser()
     args = parser.parse_args(argv)
+    args.started = started
     try:
         return args.func(args)
     except ConfigError as exc:

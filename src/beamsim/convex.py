@@ -46,7 +46,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import erfc
 
-from .beamformers import lift_channel, unlift_weights
+from .beamformers import _norm, lift_channel, unlift_weights
 from .modem import enumerate_interferers
 
 MPE_FULL = "MPE_FULL"
@@ -122,7 +122,7 @@ class ConvexProgram:
 
     def reduced_margin(self, w_bar: np.ndarray) -> float:
         """Self term minus the worst-case coherent interference at w_bar."""
-        return float(w_bar @ self.a) - float(np.sum(np.abs(self.U @ w_bar)))
+        return float(w_bar @ self.a) - float(np.abs(self.U @ w_bar).sum())
 
 
 class Feasibility(NamedTuple):
@@ -192,7 +192,7 @@ def _maximize_margin(program: ConvexProgram) -> Feasibility:
     a, U = program.a, program.U
     t, iterations = _bvls(U.T, a)
     g = a - U.T @ t
-    margin = float(np.linalg.norm(g))
+    margin = _norm(g)
     if margin < TOL_FEAS:
         return Feasibility(margin, None, float("nan"), iterations)
     w_bar = g / margin
@@ -341,7 +341,7 @@ def _sphere_sqp(program: ConvexProgram, w0: np.ndarray):
     """
     G_obj, G = program.G_objective, program.G_constraints
     n = w0.size
-    w = w0 / np.linalg.norm(w0)
+    w = w0 / _norm(w0)
     f, g, weights = _mpe_evaluate(program, w)
     eye = np.eye(n)
     trace = []
@@ -395,13 +395,13 @@ def _kkt_residual(program: ConvexProgram, w_bar: np.ndarray, grad: np.ndarray) -
     """Distance of -grad from the cone spanned by the active peak-row normals
     and, on the sphere, the sphere normal, or the largest peak-row violation
     if that is larger: a point off the feasible set is not certified."""
-    columns = [-2.0 * w_bar] if np.linalg.norm(w_bar) >= 1.0 - 1e-7 else []
+    columns = [-2.0 * w_bar] if _norm(w_bar) >= 1.0 - 1e-7 else []
     margins = program.G_constraints @ w_bar
     violation = max(0.0, -float(margins.min()))
     for i in np.nonzero(margins <= 1e-7)[0]:
         columns.append(program.G_constraints[i])
     if not columns:
-        return max(float(np.linalg.norm(grad)), violation)
+        return max(_norm(grad), violation)
     A = np.stack(columns, axis=1)
     r = A @ _nnls(A, grad) - grad
     return max(math.sqrt(r @ r), violation)
@@ -440,12 +440,12 @@ def solve(program: ConvexProgram, start: np.ndarray = None,
     w_bar, iterations, certified = feas.w_bar, 0, False
     if start is not None:
         w_bar = np.asarray(start, dtype=float)
-        w_bar = w_bar / np.linalg.norm(w_bar)
+        w_bar = w_bar / _norm(w_bar)
         value, grad, _ = _mpe_evaluate(program, w_bar)
         kkt = _kkt_residual(program, w_bar, grad)
         # relative to |grad| too: at high SNR the gradient of every feasible
         # point can lie far below TOL_KKT
-        certified = kkt <= TOL_KKT * min(1.0, float(np.linalg.norm(grad)))
+        certified = kkt <= TOL_KKT * min(1.0, _norm(grad))
     if not certified:
         w_bar, value, grad, trace = _sphere_sqp(program, w_bar)
         iterations = len(trace)

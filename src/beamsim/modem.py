@@ -92,8 +92,12 @@ def decide_block(y_real: np.ndarray, gain: float, c: Constellation) -> np.ndarra
     offsets = _threshold_offsets(c)
     if gain <= 0:
         return np.where(np.asarray(y_real) <= gain * offsets[0], 1, c.order)
-    # a branch-free count: no binary search to mispredict on fresh noise
-    return c.order - np.count_nonzero(np.greater_equal.outer(gain * offsets, y_real), axis=0)
+    # a branch-free count: no binary search to mispredict on fresh noise.
+    # np.searchsorted gives the same decisions and is faster alone (15 against
+    # 24 us on 2000 samples), but fig5-csi took 18 % more CPU with it (6 of 6
+    # alternating runs, 2-core Xeon). The sum is np.count_nonzero's own body
+    # for a boolean array.
+    return c.order - np.greater_equal.outer(gain * offsets, y_real).sum(axis=0, dtype=np.intp)
 
 
 @dataclass(frozen=True)

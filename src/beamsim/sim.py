@@ -268,6 +268,9 @@ def _run_realization(scenario: Scenario, r_index: int, tuple_sets, quadratures):
 
     # QAM symbols have unit energy; 2 * QAM_AXIS.average_energy rounds above 1
     energies = [1.0] * K if quadratures == 2 else [c.average_energy for c in users]
+    # user k's estimated channel column and sqrt(E_g): the same in every cell
+    h_csi = [H_csi[:, k] for k in range(K)]
+    amplitude = [math.sqrt(c.pulse_energy) for c in users]
     # user k's feasibility phase, from its first solve on this H_csi: it
     # depends on neither sigma_z nor the program kind
     feasible = [None] * K
@@ -305,7 +308,7 @@ def _run_realization(scenario: Scenario, r_index: int, tuple_sets, quadratures):
                     pe[mi, si, k] = analysis.exact_pe(w, H, k, users, sigma_z, tuple_sets[k])
                     bound[mi, si, k] = analysis.pe_upper_bound(w, H, k, users, sigma_z)
                 if n_sym > 0:
-                    gain = (w @ H_csi[:, k]).real * math.sqrt(users[k].pulse_energy)
+                    gain = (w @ h_csi[k]).real * amplitude[k]
                     y = w @ r_block
                     wrong = modem.decide_block(y.real, gain, users[k]) != indices[k]
                     if quadratures == 2:

@@ -33,6 +33,20 @@ class TestQFunction:
         assert analysis.q_function(np.inf) == 0.0
 
 
+class TestCheckWeights:
+    @pytest.mark.parametrize("w", [[0.0, 0.0], [np.inf, 1.0], [1.0, np.nan],
+                                   [1e200, 1e200], [1e200j, 1.0]])
+    def test_refuses_zero_non_finite_and_overflowing_weights(self, w):
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="nonzero and finite"):
+            analysis._check_weights(w)
+
+    def test_accepts_array_likes(self):
+        assert analysis._check_weights([3.0, 4.0]) == 5.0
+        assert analysis._check_weights([3, 4]) == 5.0
+        assert analysis._check_weights([3j, 4.0]) == 5.0
+        assert analysis._check_weights((1.0 + 1.0j,)) == float(np.linalg.norm([1.0 + 1.0j]))
+
+
 class TestExactPe:
     def test_frozen_two_user_value(self):
         pe = analysis.exact_pe(W_RAW, H_FIXED, 0, CONSTELLATIONS, SIGMA)

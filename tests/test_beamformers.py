@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beamsim import analysis, beamformers, channel, modem
+
+# entries from 1e-170 to 1e171: their squares underflow, overflow or neither
+ENTRY = st.builds(lambda m, e: m * 10.0**e, st.floats(-10.0, 10.0), st.integers(-170, 170))
+VECTOR = st.lists(ENTRY, min_size=1, max_size=40)
 
 
 def power_iteration_top_eigvec(M, n_iter=20_000):
@@ -61,6 +67,70 @@ class TestAlignPhase:
         h = np.array([0, 1.0 + 0j])
         with pytest.raises(ValueError):
             beamformers.align_phase(w, h)
+
+
+class TestNorm:
+    """``_norm`` runs np.linalg.norm's arithmetic on a 1-D vector, so every
+    result is the same double, also for strided views."""
+
+    @staticmethod
+    def assert_bits_equal(x):
+        with np.errstate(over="ignore"):  # squares past 1e308 are inf in both
+            norm, expected = beamformers._norm(x), float(np.linalg.norm(x))
+        assert np.float64(norm).tobytes() == np.float64(expected).tobytes()
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(values=VECTOR, step=st.integers(1, 3))
+    def test_real_vector(self, values, step):
+        x = np.array(values)
+        self.assert_bits_equal(x)
+        self.assert_bits_equal(x[::step])
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(re=VECTOR, im=VECTOR, step=st.integers(1, 3))
+    def test_complex_vector(self, re, im, step):
+        n = min(len(re), len(im))
+        x = np.array(re[:n]) + 1j * np.array(im[:n])
+        self.assert_bits_equal(x)
+        self.assert_bits_equal(x[::step])
+
+    def test_strided_views_sum_in_the_contiguous_order(self):
+        # BLAS sums a strided vector in another order than a contiguous one,
+        # so a view must be copied first, as np.linalg.norm does
+        rng = np.random.default_rng(23)
+        for n in range(1, 65):
+            for step in (2, 3):
+                x = rng.standard_normal(step * n) * 10.0 ** rng.uniform(-3, 3, step * n)
+                self.assert_bits_equal(x[::step])
+                self.assert_bits_equal((x + 1j * x[::-1])[::step])
+
+
+class TestClosedFormTails:
+    """The closed forms' last steps are the same bits as the numpy expressions
+    they replace: ``w / np.linalg.norm(w)``, ``np.exp(-1j * np.angle(g))``
+    and ``H @ np.diag(Es) @ H.conj().T``."""
+
+    @staticmethod
+    def aligned(w, h):
+        return w * np.exp(-1j * np.angle(w @ h))
+
+    def test_bit_identical_on_seeded_channels(self):
+        rng = np.random.default_rng(24)
+        energies = np.array([1.0, 0.5, 2.0, 1.0])
+        for _ in range(1000):
+            H = channel.sample_channel(4, 4, rng)
+            sigma_z = 10.0 ** -rng.uniform(0.0, 2.5)
+            R = H @ np.diag(energies) @ H.conj().T + sigma_z**2 * np.eye(4)
+            u, s, vt = np.linalg.svd(H.conj(), full_matrices=False)
+            for k in range(4):
+                w = self.aligned((vt.T @ ((1 / s)[:, None] * u.T))[k], H[:, k])
+                assert np.array_equal(beamformers.zf(H, k), w / np.linalg.norm(w))
+                w = self.aligned(H[:, k].conj() @ np.linalg.inv(R), H[:, k])
+                assert np.array_equal(beamformers.mmse(H, k, sigma_z, energies),
+                                      w / np.linalg.norm(w))
+                v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+                assert np.array_equal(beamformers.align_phase(v, H[:, k]),
+                                      self.aligned(v, H[:, k]))
 
 
 class TestZf:

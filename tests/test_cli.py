@@ -201,6 +201,18 @@ class TestCommands:
             assert manifest["numpy"] == np.__version__
             assert manifest["scipy"] == scipy.__version__
             assert manifest["workers"] == min(int(threads), os.cpu_count())
+            assert manifest["thread_env"] == {name: os.environ.get(name)
+                                              for name in cli.THREAD_ENV}
+            # os.times() counts whole clock ticks, so a short run can read 0
+            assert manifest["wall_s"] > 0.0 and manifest["cpu_s"] >= 0.0
+
+    def test_manifest_cpu_time_counts_the_workers(self, tmp_path, monkeypatch):
+        # os.times() gives user, system, children's user, children's system, elapsed
+        monkeypatch.setattr(os, "times", lambda: (5.0, 1.0, 7.0, 2.0, 0.0))
+        cli._write_outputs(tmp_path, sim.Scenario(), [], 1,
+                           started=(0.0, (1.0, 0.5, 0.25, 0.25, 0.0)))
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["cpu_s"] == 13.0
 
     def test_sweep_deterministic_across_runs(self, tmp_path):
         texts = []
@@ -254,7 +266,9 @@ class TestCommands:
         cli.main(["csi", *FAST_ARGS, "--methods", "ZF,MMSE", "--symbols", "0", "--out", "rel"])
         relative = json.loads((tmp_path / "rel" / "manifest.json").read_text())
         assert relative.keys() == manifest.keys()
-        assert all(relative[key] == manifest[key] for key in manifest if key != "created_unix")
+        # everything but the run's clock readings
+        timings = ("created_unix", "wall_s", "cpu_s")
+        assert all(relative[key] == manifest[key] for key in manifest if key not in timings)
 
     def test_check_quick(self, monkeypatch, capsys):
         # the report format and exit code 1; criterion 9 runs the real suite
