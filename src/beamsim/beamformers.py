@@ -1,8 +1,34 @@
-"""Closed-form receive beamformers: ZF, MMSE, and the maximum-SMINR eigenvector."""
+"""Closed-form receive beamformers: ZF, MMSE, and the maximum-SMINR eigenvector.
+
+A sweep asks for every weight once per (SNR point, method, user) cell, but
+ZF, the SMINR eigenvector and MMSE's inverse covariance at one noise level
+depend only on the channel, so ``_draw_memo`` keeps them for its draw.
+"""
 
 import math
 
 import numpy as np
+
+# the content key of the last channel seen and the values computed from it
+_memo_key = None
+_memo = {}
+
+
+def _draw_memo(H: np.ndarray) -> dict:
+    """The values computed from channel H so far, keyed by the caller.
+
+    The memo is keyed on H's shape, dtype and bytes, so an edited or new
+    channel empties it: it holds one draw's values, and a lookup gives the
+    bits a new computation would. Its arrays are shared, so callers hand
+    out copies or read-only arrays. Each process has its own memo, which
+    keeps outputs the same for any worker count.
+    """
+    global _memo_key
+    key = (H.shape, H.dtype, H.tobytes())
+    if key != _memo_key:
+        _memo_key = key
+        _memo.clear()
+    return _memo
 
 
 def _norm(x: np.ndarray) -> float:
@@ -61,13 +87,19 @@ def zf(H: np.ndarray, k: int) -> np.ndarray:
     N, K = H.shape
     if N < K:
         raise np.linalg.LinAlgError(f"zero-forcing needs N >= K, got N={N}, K={K}")
-    u, s, vt = np.linalg.svd(H.conj(), full_matrices=False)
-    if s[-1] <= 1e-12 * s[0]:
-        raise np.linalg.LinAlgError("channel matrix is rank-deficient")
-    # the rank check leaves every s above pinv's 1e-15 s[0] cutoff: pinv's product
-    w = (vt.T @ ((1 / s)[:, None] * u.T))[k]
-    w = align_phase(w, H[:, k])
-    return w / _norm(w)
+    memo = _draw_memo(H)
+    w = memo.get(("zf", k))
+    if w is None:
+        pinv = memo.get("pinv")
+        if pinv is None:
+            u, s, vt = np.linalg.svd(H.conj(), full_matrices=False)
+            if s[-1] <= 1e-12 * s[0]:
+                raise np.linalg.LinAlgError("channel matrix is rank-deficient")
+            # the rank check leaves every s above pinv's 1e-15 s[0] cutoff: pinv's product
+            pinv = memo["pinv"] = vt.T @ ((1 / s)[:, None] * u.T)
+        w = align_phase(pinv[k], H[:, k])
+        w = memo[("zf", k)] = w / _norm(w)
+    return w.copy()
 
 
 def mmse(H: np.ndarray, k: int, sigma_z: float, symbol_energies) -> np.ndarray:
@@ -80,9 +112,16 @@ def mmse(H: np.ndarray, k: int, sigma_z: float, symbol_energies) -> np.ndarray:
         raise ValueError("sigma_z must be positive")
     N = H.shape[0]
     Es = np.asarray(symbol_energies, dtype=float)
-    # H * Es is H diag(Es), without the K x K product
-    R = (H * Es) @ H.conj().T + sigma_z**2 * np.eye(N)
-    w = H[:, k].conj() @ np.linalg.inv(R)
+    # one noise level at a time: a sweep asks for every user's weight at one
+    # sigma_z before the next, and one inverse per level would grow with the grid
+    memo = _draw_memo(H)
+    key = (sigma_z, Es.tobytes())
+    cached = memo.get("mmse")
+    if cached is None or cached[0] != key:
+        # H * Es is H diag(Es), without the K x K product
+        R = (H * Es) @ H.conj().T + sigma_z**2 * np.eye(N)
+        cached = memo["mmse"] = key, np.linalg.inv(R)
+    w = H[:, k].conj() @ cached[1]
     w = align_phase(w, H[:, k])
     return w / _norm(w)
 
@@ -109,9 +148,14 @@ def sminr_closed_form(H: np.ndarray, k: int, constellations) -> np.ndarray:
     Re{w h_k} > 0. No further phase rotation is applied: any nontrivial
     rotation would change Re{w h_j} and lose the attained maximum.
     """
-    # the form is exactly symmetric, and eigh reads one triangle of it
-    w = unlift_weights(np.linalg.eigh(sminr_quadratic_form(H, k, constellations))[1][:, -1])
-    g = (w @ H[:, k]).real
-    if g < 0:
-        w = -w
-    return w
+    memo = _draw_memo(H)
+    key = ("sminr", k, tuple(constellations))
+    w = memo.get(key)
+    if w is None:
+        # the form is exactly symmetric, and eigh reads one triangle of it
+        w = unlift_weights(np.linalg.eigh(sminr_quadratic_form(H, k, constellations))[1][:, -1])
+        g = (w @ H[:, k]).real
+        if g < 0:
+            w = -w
+        memo[key] = w
+    return w.copy()

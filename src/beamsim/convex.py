@@ -13,11 +13,14 @@ all tuple rows; their minimum is the reduced margin.
 
 Every solve starts from the feasibility phase: the maximum reduced margin
 over the unit ball, computed exactly as a bounded-variable least-squares
-problem (BVLS) together with a duality-gap certificate. It depends only on
-the channel, the user and the constellations, so callers may compute it
-once and share it across noise levels and program kinds. It alone solves
+problem (BVLS) together with a duality-gap certificate. It alone solves
 SMINR_AMP; an instance without a positive margin is INFEASIBLE and gets no
 weights.
+
+None of the rows, the feasibility phase or the MPE optimum depends on the
+kind, and only the optimum on sigma_z, so ``beamformers._draw_memo`` keeps
+them for their channel: the rows read-only, and each report gets its own
+copy of the weights.
 
 The MPE optimum lies on the unit sphere, where the feasible set is cut out
 by the homogeneous peak rows G w >= 0. The MPE programs are solved there by
@@ -28,10 +31,9 @@ minimizes the model subject to those rows as a least-distance problem
 solved by NNLS, which handles active and degenerate (tied) rows. It then
 backtracks along the normalizing retraction. One pass over the tuple rows
 at a point gives the objective, the gradient and the Hessian row weights;
-the SQP keeps those of the accepted point for its next model. A caller
-that solves both MPE programs at one noise level can start the second from
-the first's optimum (``solve(start=...)``): a start that passes the KKT
-certificate is returned at once, without an SQP step.
+the SQP keeps those of the accepted point for its next model. A solve
+from another start (``solve(start=...)``) returns a start that passes the
+KKT certificate at once, without an SQP step.
 
 Both active-set solvers are the package's own: ``_nnls`` is Lawson &
 Hanson's NNLS (Solving Least Squares Problems, 1974, ch. 23) and ``_bvls``
@@ -40,13 +42,13 @@ bounds fixed at [-1, 1].
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
 from scipy.special import erfc
 
-from .beamformers import _norm, lift_channel, unlift_weights
+from .beamformers import _draw_memo, _norm, lift_channel, unlift_weights
 from .modem import enumerate_interferers
 
 MPE_FULL = "MPE_FULL"
@@ -70,11 +72,13 @@ _SQP_MAX_ITER = 50
 class ConvexProgram:
     """One beamforming program instance for a single user.
 
-    Precomputes the lifted data shared by objective, gradient, and
-    constraints: the self direction ``a`` (d sqrt(E_g) htilde_k), the peak
-    interferer directions ``U`` (rows s_j(L_j) htilde_j), the tuple rows
+    Holds the lifted data shared by objective, gradient, and constraints:
+    the self direction ``a`` (d sqrt(E_g) htilde_k), the peak interferer
+    directions ``U`` (rows s_j(L_j) htilde_j), the tuple rows
     ``G_objective`` of the MPE objective, and the peak rows
-    ``G_constraints`` selected from them, the same for every kind.
+    ``G_constraints`` selected from them. They are the same for every kind
+    and noise level, so they are built once per channel and user and are
+    read-only.
     """
 
     kind: str
@@ -98,19 +102,12 @@ class ConvexProgram:
         count = math.prod(c.order for j, c in enumerate(self.constellations) if j != k)
         if count > MAX_FULL_TUPLES:
             raise ValueError(f"{count} interferer tuples exceed the cap of {MAX_FULL_TUPLES}")
-        lifted = lift_channel(self.H)
-        self.a = self.constellations[k].step * lifted[:, k]
         tuple_set = enumerate_interferers(self.constellations, k)
-        # row j: htilde of the j-th interferer
-        cross = lifted[:, list(tuple_set.users)].T
-        self.U = tuple_set.peaks[:, None] * cross
-
-        # rows: a - sum_j sbar_b[j] htilde_j, one per interferer tuple
-        self.G_objective = self.a[None, :] - tuple_set.tuples @ cross
-        # the 2^(K-1) rows with every interferer at a peak symbol
-        self.G_constraints = self.G_objective[tuple_set.peak_rows]
-        L = self.constellations[k].order
-        self.prefactor = 2.0 * (L - 1) / (L * self.G_objective.shape[0])
+        memo = _draw_memo(self.H)
+        key = ("program", k, tuple(self.constellations))
+        if key not in memo:
+            memo[key] = _geometry(self.H, k, self.constellations, tuple_set)
+        self.a, self.U, self.G_objective, self.G_constraints, self.prefactor = memo[key]
 
     @property
     def dimension(self) -> int:
@@ -123,6 +120,24 @@ class ConvexProgram:
     def reduced_margin(self, w_bar: np.ndarray) -> float:
         """Self term minus the worst-case coherent interference at w_bar."""
         return float(w_bar @ self.a) - float(np.abs(self.U @ w_bar).sum())
+
+
+def _geometry(H, k, constellations, tuple_set):
+    """(a, U, G_objective, G_constraints, prefactor) of user k on channel H,
+    the same for every noise level and kind, with read-only arrays."""
+    lifted = lift_channel(H)
+    a = constellations[k].step * lifted[:, k]
+    # row j: htilde of the j-th interferer
+    cross = lifted[:, list(tuple_set.users)].T
+    U = tuple_set.peaks[:, None] * cross
+    # rows: a - sum_j sbar_b[j] htilde_j, one per interferer tuple
+    G_objective = a[None, :] - tuple_set.tuples @ cross
+    # the 2^(K-1) rows with every interferer at a peak symbol
+    G_constraints = G_objective[tuple_set.peak_rows]
+    for array in (a, U, G_objective, G_constraints):
+        array.setflags(write=False)
+    L = constellations[k].order
+    return a, U, G_objective, G_constraints, 2.0 * (L - 1) / (L * G_objective.shape[0])
 
 
 class Feasibility(NamedTuple):
@@ -407,26 +422,44 @@ def _kkt_residual(program: ConvexProgram, w_bar: np.ndarray, grad: np.ndarray) -
     return max(math.sqrt(r @ r), violation)
 
 
-def solve(program: ConvexProgram, start: np.ndarray = None,
-          feasible: Feasibility = None) -> SolveReport:
+def _feasibility(program: ConvexProgram) -> Feasibility:
+    """The feasibility phase of the program's channel, user and
+    constellations: it depends on neither sigma_z nor the kind, so it runs
+    once per channel, and its maximizer is read-only."""
+    memo = _draw_memo(program.H)
+    key = ("feasibility", program.user, tuple(program.constellations))
+    feas = memo.get(key)
+    if feas is None:
+        feas = memo[key] = _maximize_margin(program)
+        if feas.w_bar is not None:
+            feas.w_bar.setflags(write=False)
+    return feas
+
+
+def solve(program: ConvexProgram, start: np.ndarray = None) -> SolveReport:
     """Solve one convex beamforming program.
 
-    Runs the feasibility phase first, unless ``feasible`` hands in its result
-    for the same channel, user and constellations (it depends on neither
-    sigma_z nor the program kind). An instance whose maximum reduced margin
-    falls below ``TOL_FEAS`` is reported INFEASIBLE (error-floor regime) with
-    no weights, a nan KKT residual and the certified maximum as ``margin``;
-    the caller decides on a fallback. SMINR_AMP is solved by the feasibility
-    phase itself and reports its duality gap as ``kkt_residual``. The MPE
-    programs run ``_sphere_sqp`` on the peak rows from the maximum-margin
-    point; ``iterations`` counts its steps and ``kkt_residual`` is certified
-    against the same rows. ``start`` optionally replaces that point with a
-    lifted one, which is normalized and certified first: a start that is
-    feasible and has a KKT residual of at most ``TOL_KKT`` times min(1,
-    |grad|) is returned as the optimum with 0 iterations and no SQP, and any
-    other start begins the SQP.
+    Runs the feasibility phase first, once per channel, user and
+    constellations: later programs of that channel share its result. An
+    instance whose maximum reduced margin falls below ``TOL_FEAS`` is
+    reported INFEASIBLE (error-floor regime) with no weights, a nan KKT
+    residual and the certified maximum as ``margin``; the caller decides on
+    a fallback. SMINR_AMP is solved by the feasibility phase itself and
+    reports its duality gap as ``kkt_residual``. The MPE programs run
+    ``_sphere_sqp`` on the peak rows from the maximum-margin point;
+    ``iterations`` counts its steps and ``kkt_residual`` is certified
+    against the same rows. The two MPE kinds are one program, so that solve
+    runs once per channel, user, constellations and sigma_z: a later call of
+    the same kind gets a copy of its report, and one of the other kind a
+    copy with 0 iterations, since it took no step; only the last sigma_z's
+    solve is kept. ``start`` optionally
+    replaces the maximum-margin point with a lifted one, which is normalized
+    and certified first and bypasses that sharing: a start that is feasible
+    and has a KKT residual of at most ``TOL_KKT`` times min(1, |grad|) is
+    returned as the optimum with 0 iterations and no SQP, and any other
+    start begins the SQP.
     """
-    feas = feasible if feasible is not None else _maximize_margin(program)
+    feas = _feasibility(program)
     if feas.w_bar is None:
         return SolveReport(None, float("nan"), feas.margin, INFEASIBLE,
                            feas.iterations, float("nan"), feas)
@@ -437,6 +470,22 @@ def solve(program: ConvexProgram, start: np.ndarray = None,
         return SolveReport(unlift_weights(feas.w_bar), margin / program.noise_scale,
                            margin, status, feas.iterations, feas.gap, feas)
 
+    if start is not None:
+        return _solve_mpe(program, feas, start)
+    # each user's solve at the last sigma_z: a sweep asks for both kinds at
+    # one sigma_z before the next, and one report per level would grow with the grid
+    memo = _draw_memo(program.H)
+    key = ("mpe", program.user, tuple(program.constellations))
+    solved = memo.get(key)
+    if solved is None or solved[0] != program.sigma_z:
+        solved = memo[key] = program.sigma_z, program.kind, _solve_mpe(program, feas, None)
+    _, kind, report = solved
+    return replace(report, weights=report.weights.copy(),
+                   iterations=report.iterations if kind == program.kind else 0)
+
+
+def _solve_mpe(program: ConvexProgram, feas: Feasibility, start) -> SolveReport:
+    """The MPE report of ``solve`` from the maximum-margin point or ``start``."""
     w_bar, iterations, certified = feas.w_bar, 0, False
     if start is not None:
         w_bar = np.asarray(start, dtype=float)

@@ -27,6 +27,13 @@ class Constellation:
             raise ValueError("half_spacing must be positive")
         if self.pulse_energy <= 0:
             raise ValueError("pulse_energy must be positive")
+        # the caches and the draw memo hash constellations on every lookup:
+        # hash the fields once, as the generated __hash__ does on each call
+        object.__setattr__(self, "_hash", hash((self.order, self.half_spacing,
+                                                self.pulse_energy)))
+
+    def __hash__(self):
+        return self._hash
 
     def amplitude(self, l: int) -> float:
         """Amplitude of point l (1-based index)."""

@@ -110,7 +110,8 @@ class Scenario:
             + 24 * sum(orders) + (max(orders) - 1) * self.n_symbols
             + 32 * cells  # the four stacked result arrays
             + 8 * (K - 1) * sum(tuple_counts)  # every user's interferer tuple set
-            + 16 * N * tuples * solves  # one convex program's tuple rows
+            # every user's convex tuple rows, which the draw memo keeps
+            + 16 * N * sum(tuple_counts) * solves
             # N^2-sized arrays, at the method that needs most: four complex
             # N x N for MMSE (also the convex fallback), five real 2N x 2N for
             # SMINR's eigh and seven for the SQP's tangent basis and Newton matrix
@@ -164,7 +165,7 @@ def _draw_realization(scenario: Scenario, r_index: int):
 def worker_count(n_workers: int, n_realizations: int) -> int:
     """The processes a sweep of ``n_realizations`` runs on when ``n_workers``
     are asked for: at least one, and no more than realizations or cores."""
-    return min(n_workers or 1, n_realizations, os.cpu_count() or 1)
+    return max(1, min(n_workers or 1, n_realizations, os.cpu_count() or 1))
 
 
 def _map_realizations(fn, scenario: Scenario, n_workers: int, *args):
@@ -271,19 +272,13 @@ def _run_realization(scenario: Scenario, r_index: int, tuple_sets, quadratures):
     # user k's estimated channel column and sqrt(E_g): the same in every cell
     h_csi = [H_csi[:, k] for k in range(K)]
     amplitude = [math.sqrt(c.pulse_energy) for c in users]
-    # user k's feasibility phase, from its first solve on this H_csi: it
-    # depends on neither sigma_z nor the program kind
-    feasible = [None] * K
+    # the weights' noise-free work (ZF, SMINR, the convex rows, feasibility
+    # and the one MPE solve per sigma_z) runs once per draw, in the draw memo
     for si, snr_db in enumerate(scenario.snr_grid_db):
         sigma_z = snr_db_to_sigma(snr_db)
         if n_sym > 0:
             r_block = channel.add_noise(clean, sigma_z, noise)
-        # user k's lifted optimum of the MPE kind solved first at this
-        # sigma_z starts the other kind, which is the same program: solve
-        # certifies that start and returns it without an SQP step
-        mpe_start = [None] * K
         for mi, method in enumerate(scenario.methods):
-            mpe = method in (MPE_FULL, MPE_REDUCED)
             for k in range(K):
                 if method == ZF:
                     w = beamformers.zf(H_csi, k)
@@ -293,17 +288,12 @@ def _run_realization(scenario: Scenario, r_index: int, tuple_sets, quadratures):
                     w = beamformers.sminr_closed_form(H_csi, k, users)
                 else:
                     report = convex.solve(
-                        convex.ConvexProgram(method, H_csi, k, users, sigma_z),
-                        start=mpe_start[k] if mpe else None, feasible=feasible[k],
-                    )
-                    feasible[k] = report.feasibility
+                        convex.ConvexProgram(method, H_csi, k, users, sigma_z))
                     if report.status == convex.INFEASIBLE:
                         w = beamformers.mmse(H_csi, k, sigma_z, energies)
                         infeas[mi, si, k] = 1
                     else:
                         w = report.weights
-                        if mpe and mpe_start[k] is None:
-                            mpe_start[k] = beamformers.lift_weights(w)
                 if quadratures == 1:
                     pe[mi, si, k] = analysis.exact_pe(w, H, k, users, sigma_z, tuple_sets[k])
                     bound[mi, si, k] = analysis.pe_upper_bound(w, H, k, users, sigma_z)

@@ -1,6 +1,6 @@
 """Helpers of the tests: lookups on sweep results, the amplitude SMINR, a
-certificate of an MPE optimum on every tuple row and a fresh interpreter on
-this checkout.
+certificate of an MPE optimum on every tuple row, an empty draw memo and a
+fresh interpreter on this checkout.
 
 No command needs the lookups, the amplitude SMINR or the certificate: the
 commands write every row in order, the sweeps score weights by the exact
@@ -28,6 +28,12 @@ def run_python(*args, cwd=None) -> subprocess.CompletedProcess:
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
     return subprocess.run([sys.executable, *args], env=env, cwd=cwd, capture_output=True,
                           text=True, timeout=120)
+
+
+def forget_draw() -> None:
+    """Empty ``beamformers._draw_memo``, so the next call computes cold."""
+    beamformers._memo_key = None
+    beamformers._memo.clear()
 
 
 def row(rows, method: str, snr_db: float):

@@ -206,6 +206,12 @@ class TestCommands:
             # os.times() counts whole clock ticks, so a short run can read 0
             assert manifest["wall_s"] > 0.0 and manifest["cpu_s"] >= 0.0
 
+    def test_manifest_records_at_least_one_worker(self, tmp_path):
+        # a negative --threads runs on one process, and the manifest says so
+        assert cli.main(["sweep", *FAST_ARGS, "--methods", "ZF", "--threads", "-3",
+                         "--out", str(tmp_path)]) == 0
+        assert json.loads((tmp_path / "manifest.json").read_text())["workers"] == 1
+
     def test_manifest_cpu_time_counts_the_workers(self, tmp_path, monkeypatch):
         # os.times() gives user, system, children's user, children's system, elapsed
         monkeypatch.setattr(os, "times", lambda: (5.0, 1.0, 7.0, 2.0, 0.0))

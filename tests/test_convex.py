@@ -6,7 +6,21 @@ from scipy.optimize import linprog, lsq_linear, minimize, nnls
 from scipy.special import erfc
 
 from beamsim import analysis, beamformers, channel, convex, modem, sim
+import support
 from support import certify_on_tuple_rows, sminr_amp
+
+
+def count_feasibility_phases(monkeypatch) -> list:
+    """The users of every ``_maximize_margin`` call from here on."""
+    calls = []
+    original = convex._maximize_margin
+
+    def counting(program):
+        calls.append(program.user)
+        return original(program)
+
+    monkeypatch.setattr(convex, "_maximize_margin", counting)
+    return calls
 
 
 def make_program(seed, kind, N=4, K=3, order=8, sigma=0.1, k=0):
@@ -465,18 +479,22 @@ class TestSphereSqp:
         assert kkt == pytest.approx(-(G @ w).min(), rel=1e-12)
         assert kkt > convex.TOL_KKT
 
-    def test_underflowed_gradient_keeps_start(self):
+    def test_underflowed_gradient_keeps_start(self, monkeypatch):
         # at 60 dB every Q term of the maximum-margin point underflows to zero
         H = channel.sample_channel(4, 4, np.random.default_rng(49))
         cs = [modem.unit_energy_pam(8)] * 4
         prog = convex.ConvexProgram(convex.MPE_FULL, H, 0, cs, sim.snr_db_to_sigma(60.0))
         feas = convex._maximize_margin(prog)
         assert not np.any(convex.objective_and_gradient(prog, feas.w_bar)[1])
-        rep = convex.solve(prog, feasible=feas)
+        calls = count_feasibility_phases(monkeypatch)
+        rep = convex.solve(prog)
         assert np.array_equal(beamformers.lift_weights(rep.weights), feas.w_bar)
         assert rep.iterations == 0
         assert rep.kkt_residual == 0.0
         assert rep.status == convex.OPTIMAL
+        # the other kind and another noise level share the feasibility phase
+        convex.solve(convex.ConvexProgram(convex.MPE_REDUCED, H, 0, cs, 1.0))
+        assert calls == [0]
 
 
 class TestFeasibility:
@@ -574,16 +592,25 @@ class TestBvlsFeasibility:
             assert math.isnan(rep.kkt_residual)
             assert rep.margin == feas.margin
 
-    def test_shared_feasibility_gives_identical_solve(self):
+    def test_shared_feasibility_gives_identical_solve(self, monkeypatch):
         prog_amp, H, cs = make_program(46, convex.SMINR_AMP, sigma=1.0)
+        programs = [convex.ConvexProgram(convex.MPE_FULL, H, 0, cs, 0.1),
+                    convex.ConvexProgram(convex.MPE_REDUCED, H, 0, cs, 0.2)]
+        cold = []
+        for prog in programs:
+            support.forget_draw()
+            cold.append(convex.solve(prog))
+        support.forget_draw()
+        calls = count_feasibility_phases(monkeypatch)
         shared = convex.solve(prog_amp).feasibility
-        for kind in (convex.MPE_FULL, convex.MPE_REDUCED):
-            prog = convex.ConvexProgram(kind, H, 0, cs, 0.1)
-            own = convex.solve(prog)
-            reused = convex.solve(prog, feasible=shared)
+        for prog, own in zip(programs, cold):
+            reused = convex.solve(prog)
+            assert reused.feasibility is shared
             assert np.array_equal(own.weights, reused.weights)
             assert own.objective_value == reused.objective_value
-            assert own.iterations == reused.iterations
+            assert own.iterations == reused.iterations >= 1
+        # the memo runs the phase once for the channel and user
+        assert calls == [0]
 
 
 def _nnls_cases(rng, count):

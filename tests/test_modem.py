@@ -1,7 +1,11 @@
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beamsim import modem
 
@@ -42,6 +46,28 @@ class TestConstellation:
             c.amplitude(0)
         with pytest.raises(IndexError):
             c.amplitude(5)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 64), st.floats(1e-3, 1e3), st.floats(1e-3, 1e3))
+    def test_equal_constellations_hash_equal(self, order, d, energy):
+        # the hash is computed once and is the one the fields would give
+        c = modem.Constellation(order, d, energy)
+        twin = modem.Constellation(order, d, energy)
+        assert c == twin and c is not twin
+        assert hash(c) == hash(twin) == hash((order, d, energy))
+        assert dataclasses.asdict(c) == {"order": order, "half_spacing": d,
+                                         "pulse_energy": energy}
+        assert hash(pickle.loads(pickle.dumps(c))) == hash(c)
+        other = dataclasses.replace(c, order=order + 1)
+        assert other != c and hash(other) == hash((order + 1, d, energy))
+
+    def test_equal_constellations_hit_the_tuple_cache(self):
+        cs = [modem.Constellation(4, 0.3, 2.0)] * 3
+        first = modem.enumerate_interferers(cs, 0)
+        hits = modem._enumerate_interferers.cache_info().hits
+        twins = [modem.Constellation(4, 0.3, 2.0) for _ in range(3)]
+        assert modem.enumerate_interferers(twins, 0) is first
+        assert modem._enumerate_interferers.cache_info().hits == hits + 1
 
     def test_bad_parameters(self):
         with pytest.raises(ValueError):

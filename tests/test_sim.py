@@ -454,29 +454,33 @@ class TestSolverMethods:
 
     @pytest.mark.parametrize("methods", [(sim.MPE_FULL, sim.MPE_REDUCED),
                                          (sim.MPE_REDUCED, sim.SMINR_AMP, sim.MPE_FULL)])
-    def test_second_mpe_kind_starts_at_the_first_optimum(self, monkeypatch, methods):
+    def test_both_mpe_kinds_carry_one_solve(self, monkeypatch, methods):
+        # the two kinds are one program: at each (draw, user, sigma_z) the
+        # second gets the first one's report, with 0 iterations
         solves = []
         original = convex.solve
 
-        def recording(program, start=None, **kwargs):
-            report = original(program, start=start, **kwargs)
-            solves.append((program.kind, start, report))
+        def recording(program, start=None):
+            report = original(program, start=start)
+            solves.append((program.kind, program.sigma_z, program.user, start, report))
             return report
 
         monkeypatch.setattr(convex, "solve", recording)
-        scenario = self.fig1_style(methods)
-        sim.run_sweep(scenario)
+        sim.run_sweep(self.fig1_style(methods))
         first, second = (m for m in methods if m != sim.SMINR_AMP)
-        assert all(start is None for kind, start, _ in solves if kind != second)
-        firsts = [report for kind, _, report in solves if kind == first]
-        starts = [start for kind, start, _ in solves if kind == second]
-        assert len(starts) == len(firsts) == 4 * 4 * 4
-        for report, start in zip(firsts, starts):
-            assert np.array_equal(start, beamformers.lift_weights(report.weights))
-        for kind, start, report in solves:
-            if kind == second:
-                assert report.status == convex.OPTIMAL
-                assert report.iterations <= 1
+        assert all(start is None for *_, start, _ in solves)
+        firsts = [(cell, report) for kind, *cell, _, report in solves if kind == first]
+        seconds = [(cell, report) for kind, *cell, _, report in solves if kind == second]
+        assert len(firsts) == len(seconds) == 4 * 4 * 4
+        for (cell, report), (cell2, copy) in zip(firsts, seconds):
+            assert cell == cell2
+            assert report.status == copy.status == convex.OPTIMAL
+            assert np.array_equal(copy.weights, report.weights)
+            assert copy.weights is not report.weights
+            assert copy.objective_value == report.objective_value
+            assert copy.kkt_residual == report.kkt_residual
+            assert copy.iterations == 0
+        assert sum(report.iterations for _, report in firsts) > 0
 
 
 class TestOutputFormats:
