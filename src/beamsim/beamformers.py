@@ -2,7 +2,7 @@
 
 A sweep asks for every weight once per (SNR point, method, user) cell, but
 ZF, the SMINR eigenvector and MMSE's inverse covariance at one noise level
-depend only on the channel, so ``_draw_memo`` keeps them for its draw.
+depend only on the channel, so ``_memoized`` keeps them for their draw.
 """
 
 import math
@@ -14,21 +14,26 @@ _memo_key = None
 _memo = {}
 
 
-def _draw_memo(H: np.ndarray) -> dict:
-    """The values computed from channel H so far, keyed by the caller.
+def _memoized(H: np.ndarray, slot, compute, level=None):
+    """The value in ``slot`` of channel H's memo, from ``compute()`` if missing.
 
     The memo is keyed on H's shape, dtype and bytes, so an edited or new
     channel empties it: it holds one draw's values, and a lookup gives the
-    bits a new computation would. Its arrays are shared, so callers hand
-    out copies or read-only arrays. Each process has its own memo, which
-    keeps outputs the same for any worker count.
+    bits a new computation would. A slot holds one value, computed at one
+    ``level`` (a noise level): another level computes it anew, so the memo
+    does not grow with the SNR grid. Values are shared, so callers hand out
+    copies or read-only arrays. Each process has its own memo, which keeps
+    outputs the same for any worker count.
     """
     global _memo_key
     key = (H.shape, H.dtype, H.tobytes())
     if key != _memo_key:
         _memo_key = key
         _memo.clear()
-    return _memo
+    stored = _memo.get(slot)
+    if stored is None or stored[0] != level:
+        stored = _memo[slot] = level, compute()
+    return stored[1]
 
 
 def _norm(x: np.ndarray) -> float:
@@ -87,19 +92,19 @@ def zf(H: np.ndarray, k: int) -> np.ndarray:
     N, K = H.shape
     if N < K:
         raise np.linalg.LinAlgError(f"zero-forcing needs N >= K, got N={N}, K={K}")
-    memo = _draw_memo(H)
-    w = memo.get(("zf", k))
-    if w is None:
-        pinv = memo.get("pinv")
-        if pinv is None:
-            u, s, vt = np.linalg.svd(H.conj(), full_matrices=False)
-            if s[-1] <= 1e-12 * s[0]:
-                raise np.linalg.LinAlgError("channel matrix is rank-deficient")
-            # the rank check leaves every s above pinv's 1e-15 s[0] cutoff: pinv's product
-            pinv = memo["pinv"] = vt.T @ ((1 / s)[:, None] * u.T)
-        w = align_phase(pinv[k], H[:, k])
-        w = memo[("zf", k)] = w / _norm(w)
-    return w.copy()
+
+    def pinv():
+        u, s, vt = np.linalg.svd(H.conj(), full_matrices=False)
+        if s[-1] <= 1e-12 * s[0]:
+            raise np.linalg.LinAlgError("channel matrix is rank-deficient")
+        # the rank check leaves every s above pinv's 1e-15 s[0] cutoff: pinv's product
+        return vt.T @ ((1 / s)[:, None] * u.T)
+
+    def row():
+        w = align_phase(_memoized(H, "pinv", pinv)[k], H[:, k])
+        return w / _norm(w)
+
+    return _memoized(H, ("zf", k), row).copy()
 
 
 def mmse(H: np.ndarray, k: int, sigma_z: float, symbol_energies) -> np.ndarray:
@@ -112,16 +117,11 @@ def mmse(H: np.ndarray, k: int, sigma_z: float, symbol_energies) -> np.ndarray:
         raise ValueError("sigma_z must be positive")
     N = H.shape[0]
     Es = np.asarray(symbol_energies, dtype=float)
-    # one noise level at a time: a sweep asks for every user's weight at one
-    # sigma_z before the next, and one inverse per level would grow with the grid
-    memo = _draw_memo(H)
-    key = (sigma_z, Es.tobytes())
-    cached = memo.get("mmse")
-    if cached is None or cached[0] != key:
-        # H * Es is H diag(Es), without the K x K product
-        R = (H * Es) @ H.conj().T + sigma_z**2 * np.eye(N)
-        cached = memo["mmse"] = key, np.linalg.inv(R)
-    w = H[:, k].conj() @ cached[1]
+    # a sweep asks for every user's weight at one sigma_z before the next;
+    # H * Es is H diag(Es), without the K x K product
+    R_inv = _memoized(H, "mmse", lambda: np.linalg.inv(
+        (H * Es) @ H.conj().T + sigma_z**2 * np.eye(N)), level=(sigma_z, Es.tobytes()))
+    w = H[:, k].conj() @ R_inv
     w = align_phase(w, H[:, k])
     return w / _norm(w)
 
@@ -148,14 +148,10 @@ def sminr_closed_form(H: np.ndarray, k: int, constellations) -> np.ndarray:
     Re{w h_k} > 0. No further phase rotation is applied: any nontrivial
     rotation would change Re{w h_j} and lose the attained maximum.
     """
-    memo = _draw_memo(H)
-    key = ("sminr", k, tuple(constellations))
-    w = memo.get(key)
-    if w is None:
+
+    def top():
         # the form is exactly symmetric, and eigh reads one triangle of it
         w = unlift_weights(np.linalg.eigh(sminr_quadratic_form(H, k, constellations))[1][:, -1])
-        g = (w @ H[:, k]).real
-        if g < 0:
-            w = -w
-        memo[key] = w
-    return w.copy()
+        return -w if (w @ H[:, k]).real < 0 else w
+
+    return _memoized(H, ("sminr", k, tuple(constellations)), top).copy()

@@ -18,9 +18,9 @@ SMINR_AMP; an instance without a positive margin is INFEASIBLE and gets no
 weights.
 
 None of the rows, the feasibility phase or the MPE optimum depends on the
-kind, and only the optimum on sigma_z, so ``beamformers._draw_memo`` keeps
-them for their channel: the rows read-only, and each report gets its own
-copy of the weights.
+kind, and only the optimum on sigma_z, so ``beamformers._memoized`` keeps
+them for their channel: the rows and the maximizer read-only, and each
+report gets its own copy of the weights.
 
 The MPE optimum lies on the unit sphere, where the feasible set is cut out
 by the homogeneous peak rows G w >= 0. The MPE programs are solved there by
@@ -31,9 +31,8 @@ minimizes the model subject to those rows as a least-distance problem
 solved by NNLS, which handles active and degenerate (tied) rows. It then
 backtracks along the normalizing retraction. One pass over the tuple rows
 at a point gives the objective, the gradient and the Hessian row weights;
-the SQP keeps those of the accepted point for its next model. A solve
-from another start (``solve(start=...)``) returns a start that passes the
-KKT certificate at once, without an SQP step.
+the SQP keeps those of the accepted point for its next model. It is the
+one MPE solve path: ``solve(start=...)`` only runs it from another point.
 
 Both active-set solvers are the package's own: ``_nnls`` is Lawson &
 Hanson's NNLS (Solving Least Squares Problems, 1974, ch. 23) and ``_bvls``
@@ -48,7 +47,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import erfc
 
-from .beamformers import _draw_memo, _norm, lift_channel, unlift_weights
+from .beamformers import _memoized, _norm, lift_channel, unlift_weights
 from .modem import enumerate_interferers
 
 MPE_FULL = "MPE_FULL"
@@ -103,11 +102,9 @@ class ConvexProgram:
         if count > MAX_FULL_TUPLES:
             raise ValueError(f"{count} interferer tuples exceed the cap of {MAX_FULL_TUPLES}")
         tuple_set = enumerate_interferers(self.constellations, k)
-        memo = _draw_memo(self.H)
-        key = ("program", k, tuple(self.constellations))
-        if key not in memo:
-            memo[key] = _geometry(self.H, k, self.constellations, tuple_set)
-        self.a, self.U, self.G_objective, self.G_constraints, self.prefactor = memo[key]
+        self.a, self.U, self.G_objective, self.G_constraints, self.prefactor = _memoized(
+            self.H, ("program", k, tuple(self.constellations)),
+            lambda: _geometry(self.H, k, self.constellations, tuple_set))
 
     @property
     def dimension(self) -> int:
@@ -143,8 +140,8 @@ def _geometry(H, k, constellations, tuple_set):
 class Feasibility(NamedTuple):
     """Certified maximum of the reduced margin over the unit ball.
 
-    ``margin`` is ||g*||, the exact maximum; ``w_bar`` is the unit maximizer
-    g*/||g*||, or None when ``margin`` < ``TOL_FEAS``; ``gap`` is
+    ``margin`` is ||g*||, the exact maximum; ``w_bar`` is the read-only unit
+    maximizer g*/||g*||, or None when ``margin`` < ``TOL_FEAS``; ``gap`` is
     |margin - reduced_margin(w_bar)|, zero up to rounding at an exact BVLS
     solution (nan without a maximizer).
     """
@@ -211,6 +208,7 @@ def _maximize_margin(program: ConvexProgram) -> Feasibility:
     if margin < TOL_FEAS:
         return Feasibility(margin, None, float("nan"), iterations)
     w_bar = g / margin
+    w_bar.setflags(write=False)
     return Feasibility(margin, w_bar, abs(margin - program.reduced_margin(w_bar)), iterations)
 
 
@@ -422,20 +420,6 @@ def _kkt_residual(program: ConvexProgram, w_bar: np.ndarray, grad: np.ndarray) -
     return max(math.sqrt(r @ r), violation)
 
 
-def _feasibility(program: ConvexProgram) -> Feasibility:
-    """The feasibility phase of the program's channel, user and
-    constellations: it depends on neither sigma_z nor the kind, so it runs
-    once per channel, and its maximizer is read-only."""
-    memo = _draw_memo(program.H)
-    key = ("feasibility", program.user, tuple(program.constellations))
-    feas = memo.get(key)
-    if feas is None:
-        feas = memo[key] = _maximize_margin(program)
-        if feas.w_bar is not None:
-            feas.w_bar.setflags(write=False)
-    return feas
-
-
 def solve(program: ConvexProgram, start: np.ndarray = None) -> SolveReport:
     """Solve one convex beamforming program.
 
@@ -452,14 +436,11 @@ def solve(program: ConvexProgram, start: np.ndarray = None) -> SolveReport:
     runs once per channel, user, constellations and sigma_z: a later call of
     the same kind gets a copy of its report, and one of the other kind a
     copy with 0 iterations, since it took no step; only the last sigma_z's
-    solve is kept. ``start`` optionally
-    replaces the maximum-margin point with a lifted one, which is normalized
-    and certified first and bypasses that sharing: a start that is feasible
-    and has a KKT residual of at most ``TOL_KKT`` times min(1, |grad|) is
-    returned as the optimum with 0 iterations and no SQP, and any other
-    start begins the SQP.
+    solve is kept. ``start`` optionally replaces the maximum-margin point
+    as the SQP's first point with a lifted one, and bypasses that sharing.
     """
-    feas = _feasibility(program)
+    key = (program.user, tuple(program.constellations))
+    feas = _memoized(program.H, ("feasibility", *key), lambda: _maximize_margin(program))
     if feas.w_bar is None:
         return SolveReport(None, float("nan"), feas.margin, INFEASIBLE,
                            feas.iterations, float("nan"), feas)
@@ -471,40 +452,24 @@ def solve(program: ConvexProgram, start: np.ndarray = None) -> SolveReport:
                            margin, status, feas.iterations, feas.gap, feas)
 
     if start is not None:
-        return _solve_mpe(program, feas, start)
-    # each user's solve at the last sigma_z: a sweep asks for both kinds at
-    # one sigma_z before the next, and one report per level would grow with the grid
-    memo = _draw_memo(program.H)
-    key = ("mpe", program.user, tuple(program.constellations))
-    solved = memo.get(key)
-    if solved is None or solved[0] != program.sigma_z:
-        solved = memo[key] = program.sigma_z, program.kind, _solve_mpe(program, feas, None)
-    _, kind, report = solved
+        return _solve_mpe(program, feas, np.asarray(start, dtype=float))
+    kind, report = _memoized(program.H, ("mpe", *key),
+                             lambda: (program.kind, _solve_mpe(program, feas, feas.w_bar)),
+                             level=program.sigma_z)
     return replace(report, weights=report.weights.copy(),
                    iterations=report.iterations if kind == program.kind else 0)
 
 
-def _solve_mpe(program: ConvexProgram, feas: Feasibility, start) -> SolveReport:
-    """The MPE report of ``solve`` from the maximum-margin point or ``start``."""
-    w_bar, iterations, certified = feas.w_bar, 0, False
-    if start is not None:
-        w_bar = np.asarray(start, dtype=float)
-        w_bar = w_bar / _norm(w_bar)
-        value, grad, _ = _mpe_evaluate(program, w_bar)
-        kkt = _kkt_residual(program, w_bar, grad)
-        # relative to |grad| too: at high SNR the gradient of every feasible
-        # point can lie far below TOL_KKT
-        certified = kkt <= TOL_KKT * min(1.0, _norm(grad))
-    if not certified:
-        w_bar, value, grad, trace = _sphere_sqp(program, w_bar)
-        iterations = len(trace)
-        kkt = _kkt_residual(program, w_bar, grad)
+def _solve_mpe(program: ConvexProgram, feas: Feasibility, w0: np.ndarray) -> SolveReport:
+    """The MPE report of ``solve``: the sphere SQP from w0, certified."""
+    w_bar, value, grad, trace = _sphere_sqp(program, w0)
+    kkt = _kkt_residual(program, w_bar, grad)
     return SolveReport(
         weights=unlift_weights(w_bar),
         objective_value=value,
         margin=program.reduced_margin(w_bar),
         status=OPTIMAL if kkt <= TOL_KKT else MAX_ITER,
-        iterations=iterations,
+        iterations=len(trace),
         kkt_residual=kkt,
         feasibility=feas,
     )

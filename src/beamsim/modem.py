@@ -3,6 +3,7 @@
 import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,12 +22,13 @@ class Constellation:
     pulse_energy: float = 1.0
 
     def __post_init__(self):
-        if self.order < 2:
-            raise ValueError(f"constellation order must be >= 2, got {self.order}")
-        if self.half_spacing <= 0:
-            raise ValueError("half_spacing must be positive")
-        if self.pulse_energy <= 0:
-            raise ValueError("pulse_energy must be positive")
+        if (isinstance(self.order, bool) or not isinstance(self.order, numbers.Integral)
+                or self.order < 2):
+            raise ValueError(f"constellation order must be an integer >= 2, got {self.order!r}")
+        for name in ("half_spacing", "pulse_energy"):
+            if not 0 < getattr(self, name) < math.inf:  # also refuses nan
+                raise ValueError(f"{name} must be finite and positive, "
+                                 f"got {getattr(self, name)!r}")
         # the caches and the draw memo hash constellations on every lookup:
         # hash the fields once, as the generated __hash__ does on each call
         object.__setattr__(self, "_hash", hash((self.order, self.half_spacing,

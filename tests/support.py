@@ -31,7 +31,7 @@ def run_python(*args, cwd=None) -> subprocess.CompletedProcess:
 
 
 def forget_draw() -> None:
-    """Empty ``beamformers._draw_memo``, so the next call computes cold."""
+    """Empty the memo behind ``beamformers._memoized``, so the next call computes cold."""
     beamformers._memo_key = None
     beamformers._memo.clear()
 

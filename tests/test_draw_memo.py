@@ -1,8 +1,9 @@
 """The draw memo returns what a cold computation returns, byte for byte.
 
-``beamformers._draw_memo`` keeps the noise-free values of the last channel
-seen: ZF, the SMINR eigenvector, MMSE's inverse covariance, the convex
-programs' rows, the feasibility phase and the MPE solve. Each case here
+``beamformers._memoized`` is the one lookup of the memo that keeps the
+values of the last channel seen: ZF, the SMINR eigenvector, MMSE's inverse
+covariance at one noise level, the convex programs' rows, the feasibility
+phase and the MPE solve at one noise level. Each case here
 compares the values a memo serves with those computed after emptying it
 (``support.forget_draw``), while calls alternate between channels, after a
 channel is edited in place, after a returned weight is edited, and for

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beamsim import modem
+from beamsim import modem, sim
 
 
 class TestConstellation:
@@ -76,6 +76,24 @@ class TestConstellation:
             modem.Constellation(4, half_spacing=0.0)
         with pytest.raises(ValueError):
             modem.unit_energy_pam(1)
+
+    @pytest.mark.parametrize("fields", [
+        dict(order=2.5), dict(order=4.0), dict(order=True), dict(order="4"),
+        dict(order=4, half_spacing=math.nan), dict(order=4, half_spacing=math.inf),
+        dict(order=4, half_spacing=-1.0), dict(order=4, pulse_energy=math.nan),
+        dict(order=4, pulse_energy=math.inf), dict(order=4, pulse_energy=0.0)])
+    def test_refuses_what_the_schema_rules_out(self, fields):
+        with pytest.raises(ValueError):
+            modem.Constellation(**fields)
+
+    def test_numpy_integer_order(self):
+        c = modem.Constellation(np.int64(4))
+        assert c == modem.Constellation(4) and hash(c) == hash(modem.Constellation(4))
+
+    def test_scenario_refuses_a_nan_user(self):
+        with pytest.raises(ValueError, match="half_spacing"):
+            sim.Scenario(n_antennas=2, users=(modem.unit_energy_pam(4),
+                                              modem.Constellation(4, half_spacing=math.nan)))
 
 
 def _with_neighbours(values):
