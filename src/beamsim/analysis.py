@@ -73,7 +73,7 @@ def pe_arguments(
     arg(b) = Re{w h_k d sqrt(E_g) - w H_kbar sbar(b)} / ((sigma_z/sqrt(2)) ||w||).
     """
     norm, self_term, cross, tuple_set = _gains(w, H, k, constellations, tuple_set)
-    if sigma_z <= 0:
+    if not sigma_z > 0:  # also refuses nan
         raise ValueError("sigma_z must be positive")
     return (self_term - tuple_set.tuples @ cross) / (sigma_z / _SQRT2 * norm)
 
@@ -117,7 +117,7 @@ def pe_upper_bound(
     unit-norm weights this is the plain worst-case-interference bound.
     """
     norm, self_term, cross, tuple_set = _gains(w, H, k, constellations)
-    if sigma_z <= 0:
+    if not sigma_z > 0:  # also refuses nan
         raise ValueError("sigma_z must be positive")
     L = constellations[k].order
     arg = _reduced_margin(self_term, cross, tuple_set) / (sigma_z / _SQRT2 * norm)
@@ -129,6 +129,8 @@ def sminr_power(
 ) -> float:
     """Power-based SMINR; may be negative when interference dominates."""
     _, self_term, cross, tuple_set = _gains(w, H, k, constellations)
+    if not sigma_z > 0:  # also refuses nan
+        raise ValueError("sigma_z must be positive")
     peak = cross * tuple_set.peaks
     return (self_term**2 - float(peak @ peak)) / (sigma_z**2 / 2.0)
 

@@ -113,7 +113,7 @@ def mmse(H: np.ndarray, k: int, sigma_z: float, symbol_energies) -> np.ndarray:
     ``symbol_energies`` holds per-user average symbol energies used in the
     received-signal covariance.
     """
-    if sigma_z <= 0:
+    if not sigma_z > 0:  # also refuses nan
         raise ValueError("sigma_z must be positive")
     N = H.shape[0]
     Es = np.asarray(symbol_energies, dtype=float)

@@ -30,7 +30,7 @@ def sample_channel(n_antennas: int, n_users: int, rng: np.random.Generator) -> n
 
 def perturb_csi(H: np.ndarray, var_ce: float, rng: np.random.Generator) -> np.ndarray:
     """Add i.i.d. CSCG estimation error of variance ``var_ce`` to each entry."""
-    if var_ce < 0:
+    if not var_ce >= 0:  # also refuses nan
         raise ValueError("CSI error variance must be nonnegative")
     if var_ce == 0:
         return H.copy()

@@ -28,16 +28,16 @@ a sphere SQP from the maximum-margin point: each iteration takes the exact
 Riemannian Newton model in an orthonormal tangent basis and its plain
 Newton step when that step keeps every linearized peak row; otherwise it
 minimizes the model subject to those rows as a least-distance problem
-solved by NNLS, which handles active and degenerate (tied) rows. It then
+solved as NNLS, which handles active and degenerate (tied) rows. It then
 backtracks along the normalizing retraction. One pass over the tuple rows
 at a point gives the objective, the gradient and the Hessian row weights;
 the SQP keeps those of the accepted point for its next model. It is the
 one MPE solve path: ``solve(start=...)`` only runs it from another point.
 
-Both active-set solvers are the package's own: ``_nnls`` is Lawson &
-Hanson's NNLS (Solving Least Squares Problems, 1974, ch. 23) and ``_bvls``
-is Stark & Parker's BVLS (Computational Statistics 10, 1995), with the
-bounds fixed at [-1, 1].
+The package's one active-set solver, ``_bvls``, is Stark & Parker's BVLS
+(Computational Statistics 10, 1995) with given bounds: [-1, 1] for the
+feasibility phase, and [0, inf) for the NNLS problems (Lawson & Hanson,
+Solving Least Squares Problems, 1974, ch. 23) of the SQP and the KKT test.
 """
 
 import math
@@ -94,7 +94,7 @@ class ConvexProgram:
     def __post_init__(self):
         if self.kind not in (MPE_FULL, MPE_REDUCED, SMINR_AMP):
             raise ValueError(f"unknown program kind {self.kind!r}")
-        if self.sigma_z <= 0:
+        if not self.sigma_z > 0:  # also refuses nan
             raise ValueError("sigma_z must be positive")
         k = self.user
         # every kind holds one row per tuple: count them before enumerating
@@ -202,7 +202,7 @@ def _maximize_margin(program: ConvexProgram) -> Feasibility:
     Least-Squares, 1995). With g* = a - U^T t* the maximizer is g*/||g*||.
     """
     a, U = program.a, program.U
-    t, iterations = _bvls(U.T, a)
+    t, iterations = _bvls(U.T, a, -1.0, 1.0)
     g = a - U.T @ t
     margin = _norm(g)
     if margin < TOL_FEAS:
@@ -212,101 +212,59 @@ def _maximize_margin(program: ConvexProgram) -> Feasibility:
     return Feasibility(margin, w_bar, abs(margin - program.reduced_margin(w_bar)), iterations)
 
 
-def _nnls(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """argmin ||A u - b|| over u >= 0, by Lawson & Hanson's active-set method.
+def _bvls(B: np.ndarray, a: np.ndarray, lower: float, upper: float):
+    """argmin ||a - B t|| over lower <= t <= upper, by Stark & Parker's BVLS.
 
-    The method starts from u = 0 and stops when no entry of the dual vector
-    A'(b - A u) is positive, so a right-hand side with A'b <= 0 returns
-    u = 0 at once. Each outer iteration makes the column of largest dual
-    entry passive; the first one has a closed form, which is the answer when
-    A has one column. The inner loop steps back from a least-squares
-    solution with a nonpositive entry, dropping the entry that blocks first.
-    As in scipy's nnls, the outer loop stops after 3n iterations, and then
-    the current iterate is returned for the caller's certificate to judge.
-    Non-finite input raises ValueError.
+    The scalar bounds satisfy lower <= 0 < upper; either may be infinite.
+    The method starts from t = 0, each variable free unless 0 is a bound: on
+    [-1, 1] all start free, and on [0, inf) all start fixed, which makes it
+    Lawson & Hanson's NNLS (1974, ch. 23). The inner loop solves the
+    least-squares problem in the free variables, the others fixed at their
+    bounds (in closed form for the first variable freed from t = 0), and
+    steps towards its solution until a free variable reaches a bound, where
+    it is fixed. The outer loop frees the fixed variable whose descent
+    direction points furthest into the bounds, and stops when none does
+    (the KKT conditions) or after 3m iterations. Returns (t, iterations).
+    Non-finite input, or squared norms that overflow, raise ValueError.
     """
-    if not (np.isfinite(A).all() and np.isfinite(b).all()):
-        raise ValueError("NNLS input must be finite")
-    n = A.shape[1]
-    dual = b @ A
-    u = np.zeros(n)
-    if not dual.max() > 0.0:
-        return u
-    j = dual.argmax()
-    u[j] = dual[j] / (A[:, j] @ A[:, j])
-    if n == 1:
-        return u
-    tol = 10.0 * _EPS * max(A.shape) * math.sqrt((A * A).sum() * (b @ b))
-    passive = u > 0.0
-    dual = (b - A @ u) @ A
-    for _ in range(3 * n - 1):
-        dual[passive] = -np.inf
-        j = dual.argmax()
-        if not dual[j] > tol:
-            break
-        passive[j] = True
-        z = np.zeros(n)
-        z[passive] = np.linalg.lstsq(A[:, passive], b, rcond=None)[0]
-        if not z[j] > 0.0:
-            # rounding made the new column useless: zero its dual entry and choose again
-            passive[j] = False
-            dual[j] = 0.0
-            continue
-        # each pass drops a passive column, so the last one leaves z >= 0
-        for _ in range(n):
-            blocking = np.flatnonzero(passive & (z <= 0.0))
-            if not blocking.size:
-                break
-            ratios = u[blocking] / (u[blocking] - z[blocking])
-            i = ratios.argmin()
-            u += ratios[i] * (z - u)
-            passive[blocking[i]] = False
-            passive &= u > 0.0
-            u[~passive] = 0.0
-            z = np.zeros(n)
-            z[passive] = np.linalg.lstsq(A[:, passive], b, rcond=None)[0]
-        u = z
-        dual = (b - A @ u) @ A
-    return u
-
-
-def _bvls(B: np.ndarray, a: np.ndarray):
-    """argmin ||a - B t|| over t in [-1, 1]^m, by Stark & Parker's BVLS.
-
-    Starts from t = 0 with every variable free. The inner loop solves the
-    least-squares problem in the free variables with the others fixed at
-    their bounds, and steps towards its solution until the first free
-    variable reaches a bound, where it is fixed; it ends when the solution
-    lies in the box. The outer loop frees the fixed variable whose descent
-    direction points furthest into the box, and stops when none does (the
-    KKT conditions) or after 3m iterations, returning the current iterate.
-    Returns (t, iterations). Non-finite input raises ValueError.
-    """
-    if not (np.isfinite(B).all() and np.isfinite(a).all()):
+    tol = 10.0 * _EPS * max(B.shape) * math.sqrt(np.vdot(B, B) * (a @ a))
+    if not math.isfinite(tol):  # as it is when an entry is NaN or infinite
         raise ValueError("BVLS input must be finite")
     m = B.shape[1]
-    t = np.zeros(m)
-    free = np.ones(m, dtype=bool)
-    tol = 10.0 * _EPS * max(B.shape) * math.sqrt((B * B).sum() * (a @ a))
+    n_free = m if lower < 0.0 < upper else 0
+    # +1 fixed at lower, -1 at upper, 0 free: side * B'r is the pull into the bounds
+    side = np.zeros(m) if n_free else np.ones(m)
+    t, r = np.zeros(m), a  # r is the residual a - B t: a itself until t first moves
+    j = None  # the variable freed last
     for iteration in range(1, 3 * m + 1):
-        # each pass fixes at least one free variable, so the last leaves z in the box
-        for _ in range(m + 1):
+        while n_free:  # each pass that does not end it fixes a variable
             z = t.copy()
-            z[free] = np.linalg.lstsq(B[:, free], a - B[:, ~free] @ t[~free], rcond=None)[0]
-            outside = np.flatnonzero(np.abs(z) > 1.0)
-            if not outside.size:
+            if j is not None and r is a:
+                # j, freed from the all-fixed t = 0, is alone free; pull B_j'a > tol, so B_j != 0
+                column = B[:, j]
+                z[j] = pull[j] / (column @ column)
+                outside = [] if lower <= z[j] <= upper else [j]
+            else:
+                free = side == 0.0
+                z[free] = np.linalg.lstsq(B[:, free], a - B[:, ~free] @ t[~free], rcond=None)[0]
+                outside = np.flatnonzero((z < lower) | (z > upper))
+            if not len(outside):
+                if n_free == m:
+                    return z, iteration
+                t, r = z, a - B @ z
                 break
-            bounds = np.sign(z[outside])
+            bounds = np.where(z[outside] > upper, upper, lower)
             ratios = (bounds - t[outside]) / (z[outside] - t[outside])
             i = ratios.argmin()
             t += ratios[i] * (z - t)
-            t[outside[i]], free[outside[i]] = bounds[i], False
-        t = z
-        pull = np.where(free, 0.0, -np.sign(t) * ((a - B @ t) @ B))
+            k = outside[i]
+            t[k], side[k] = bounds[i], (1.0 if bounds[i] == lower else -1.0)
+            n_free, r = n_free - 1, a - B @ t
+        pull = side * (r @ B)
         j = pull.argmax()
         if not pull[j] > tol:
             return t, iteration
-        free[j] = True
+        side[j], n_free = 0.0, n_free + 1
     return t, 3 * m
 
 
@@ -339,11 +297,11 @@ def _sphere_sqp(program: ConvexProgram, w0: np.ndarray):
     d = -B^-1 Z'g, one linear solve, when G (w + Zd) >= 0 holds on every
     peak row. Otherwise, with B = LL', it is the least-distance problem
     min ||y|| over E y >= E h - G w with y = L'd + h, h = L^-1 Z'g and
-    E = G Z L^-T, solved by NNLS (Lawson & Hanson, 1974, ch. 23); that
-    problem's u = 0 test is the same row test. Z' hess(f) Z is formed as
-    (G_obj Z)' diag(weights) (G_obj Z) from the tuple rows and the Hessian
-    weights of the current point. The
-    rows are homogeneous, so every point of the retraction
+    E = G Z L^-T, an NNLS problem (Lawson & Hanson, 1974, ch. 23) solved by
+    ``_bvls`` on [0, inf); its u = 0 test is the same row test. Z' hess(f) Z
+    is formed as (G_obj Z)' diag(weights) (G_obj Z) from the tuple rows and
+    the Hessian weights of the current point. The rows are homogeneous, so
+    every point of the retraction
     (w + aZd)/||w + aZd|| with a in [0, 1] is feasible; an Armijo backtrack
     picks a. The loop stops when the predicted or the realized decrease
     reaches the rounding level of f, or after ``_SQP_MAX_ITER`` steps.
@@ -374,12 +332,12 @@ def _sphere_sqp(program: ConvexProgram, w0: np.ndarray):
         # the Newton step, unless it leaves a linearized peak row (or reads NaN)
         if not (G @ (w + step)).min() >= 0.0:
             # B >= I, so ||L^-1|| <= 1 and products with L^-1 are as accurate
-            # as triangular solves; _nnls refuses h and E' if not finite
+            # as triangular solves; _bvls refuses h and E' if not finite
             L_inv = np.linalg.inv(np.linalg.cholesky(B))
             h = L_inv @ q
             Et = L_inv @ (G @ Z).T
             A = np.vstack([Et, h @ Et - G @ w])
-            r = A @ _nnls(A, eye[-1]) - eye[-1]
+            r = A @ _bvls(A, eye[-1], 0.0, math.inf)[0] - eye[-1]
             if not r[-1] < 0.0:
                 break
             step = Z @ (L_inv.T @ (-r[:-1] / r[-1] - h))
@@ -407,16 +365,16 @@ def _sphere_sqp(program: ConvexProgram, w0: np.ndarray):
 def _kkt_residual(program: ConvexProgram, w_bar: np.ndarray, grad: np.ndarray) -> float:
     """Distance of -grad from the cone spanned by the active peak-row normals
     and, on the sphere, the sphere normal, or the largest peak-row violation
-    if that is larger: a point off the feasible set is not certified."""
+    if that is larger: a point off the feasible set is not certified. The
+    distance is the residual of ``_bvls`` on [0, inf), an NNLS problem."""
     columns = [-2.0 * w_bar] if _norm(w_bar) >= 1.0 - 1e-7 else []
     margins = program.G_constraints @ w_bar
     violation = max(0.0, -float(margins.min()))
-    for i in np.nonzero(margins <= 1e-7)[0]:
-        columns.append(program.G_constraints[i])
+    columns.extend(program.G_constraints[margins <= 1e-7])
     if not columns:
         return max(_norm(grad), violation)
     A = np.stack(columns, axis=1)
-    r = A @ _nnls(A, grad) - grad
+    r = A @ _bvls(A, grad, 0.0, math.inf)[0] - grad
     return max(math.sqrt(r @ r), violation)
 
 

@@ -121,6 +121,14 @@ class TestBoundAndMargins:
         assert abs(bound - exact) < 1e-12
 
 
+@pytest.mark.parametrize("sigma_z", [math.nan, 0.0, -1.0])
+def test_refuses_a_noise_level_that_is_not_positive(sigma_z):
+    for metric in (analysis.pe_arguments, analysis.exact_pe, analysis.pe_upper_bound,
+                   analysis.sminr_power):
+        with pytest.raises(ValueError, match="sigma_z must be positive"):
+            metric(W_RAW, H_FIXED, 0, CONSTELLATIONS, sigma_z)
+
+
 class TestSminrMetrics:
     def test_frozen_values(self):
         amp = sminr_amp(W_RAW, H_FIXED, 0, CONSTELLATIONS, SIGMA)

@@ -204,6 +204,12 @@ class TestMmse:
         assert g.real > 0
         assert abs(g.imag) < 1e-13
 
+    @pytest.mark.parametrize("sigma_z", [float("nan"), 0.0, -1.0])
+    def test_refuses_a_noise_level_that_is_not_positive(self, sigma_z):
+        H = channel.sample_channel(4, 2, np.random.default_rng(8))
+        with pytest.raises(ValueError, match="sigma_z must be positive"):
+            beamformers.mmse(H, 0, sigma_z, [1.0, 1.0])
+
 
 class TestSminrClosedForm:
     def test_quadratic_form_bit_identical_to_per_user_lift(self):

@@ -49,6 +49,16 @@ class TestPerturbCsi:
         with pytest.raises(ValueError):
             channel.perturb_csi(H, -1e-3, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("var_ce", [math.nan, 0.0, -1.0])
+    def test_refuses_a_variance_that_is_not_nonnegative(self, var_ce):
+        # zero is the one value of the three that is a variance
+        H = channel.sample_channel(2, 2, np.random.default_rng(0))
+        if var_ce == 0.0:
+            assert np.array_equal(channel.perturb_csi(H, var_ce, np.random.default_rng(0)), H)
+            return
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            channel.perturb_csi(H, var_ce, np.random.default_rng(0))
+
 
 class TestReceivedSignal:
     def test_draw_is_real_part_first(self):

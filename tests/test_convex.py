@@ -52,6 +52,13 @@ class TestProgramSetup:
         with pytest.raises(ValueError, match="1048576 interferer tuples exceed the cap"):
             convex.ConvexProgram(kind, np.ones((1, 21), dtype=complex), 0, cs, 0.1)
 
+    @pytest.mark.parametrize("sigma_z", [math.nan, 0.0, -1.0])
+    def test_refuses_a_noise_level_that_is_not_positive(self, sigma_z):
+        H = channel.sample_channel(4, 3, np.random.default_rng(0))
+        cs = [modem.unit_energy_pam(8)] * 3
+        with pytest.raises(ValueError, match="sigma_z must be positive"):
+            convex.ConvexProgram(convex.MPE_FULL, H, 0, cs, sigma_z)
+
     def test_reduced_constraint_count(self):
         prog, _, _ = make_program(0, convex.MPE_REDUCED)
         # the extreme tuples: every one of the K-1 interferers at +-its peak
@@ -246,7 +253,8 @@ def record_sqp_models(prog, monkeypatch):
 
 def least_distance_step(prog, w, B, q):
     """The step minimizing 1/2 d'Bd + q'd subject to G (w + Zd) >= 0, always
-    through the NNLS of its least-distance form, with B = LL'."""
+    through the nonnegative least squares of its least-distance form, with
+    B = LL'."""
     G, Z = prog.G_constraints, tangent_basis(w)
     L_inv = np.linalg.inv(np.linalg.cholesky(B))
     h = L_inv @ q
@@ -254,7 +262,7 @@ def least_distance_step(prog, w, B, q):
     A = np.vstack([Et, h @ Et - G @ w])
     e = np.zeros(w.size)
     e[-1] = 1.0
-    r = A @ convex._nnls(A, e) - e
+    r = A @ convex._bvls(A, e, 0.0, math.inf)[0] - e
     return Z @ (L_inv.T @ (-r[:-1] / r[-1] - h))
 
 
@@ -624,15 +632,17 @@ def _nnls_cases(rng, count):
 
 
 def _sqp_nnls_cases(monkeypatch):
-    """The NNLS problems of the MPE solves on fig1 draws at 0 dB: the SQP's
-    least-distance problems and the KKT certificates."""
-    cases, own = [], convex._nnls
+    """The nonnegative least-squares problems of the MPE solves on fig1
+    draws at 0 dB: the SQP's least-distance problems and the KKT
+    certificates."""
+    cases, own = [], convex._bvls
 
-    def recording(A, b):
-        cases.append((A.copy(), b.copy()))
-        return own(A, b)
+    def recording(A, b, lower, upper):
+        if (lower, upper) == (0.0, math.inf):
+            cases.append((A.copy(), b.copy()))
+        return own(A, b, lower, upper)
 
-    monkeypatch.setattr(convex, "_nnls", recording)
+    monkeypatch.setattr(convex, "_bvls", recording)
     scenario = sim.Scenario()
     rng = np.random.default_rng(60)
     for _ in range(3):
@@ -645,11 +655,12 @@ def _sqp_nnls_cases(monkeypatch):
 
 
 class TestNnls:
-    """The package's Lawson-Hanson NNLS against scipy's nnls as the oracle."""
+    """The package's BVLS on [0, inf), Lawson & Hanson's NNLS, against
+    scipy's nnls as the oracle."""
 
     @staticmethod
     def assert_solves(A, b):
-        u = convex._nnls(A, b)
+        u, iterations = convex._bvls(A, b, 0.0, math.inf)
         r = np.linalg.norm(A @ u - b)
         r_oracle = nnls(A, b)[1]
         assert abs(r - r_oracle) <= 1e-10 * max(1.0, r_oracle)
@@ -659,6 +670,7 @@ class TestNnls:
         assert u.min() >= 0.0
         assert dual.max() <= tol
         assert np.abs(u * dual).max() <= tol * max(1.0, np.linalg.norm(u))
+        assert 1 <= iterations <= 3 * A.shape[1]
         return u
 
     def test_random_and_degenerate_columns(self):
@@ -697,15 +709,16 @@ class TestNnls:
         # the bad entry sits where b is zero, so A'b alone would not show it
         (A if where == "A" else b)[1] = value
         with pytest.raises(ValueError, match="finite"):
-            convex._nnls(A, b)
+            convex._bvls(A, b, 0.0, math.inf)
 
 
 class TestBvls:
-    """The package's Stark-Parker BVLS against scipy's lsq_linear as the oracle."""
+    """The package's Stark-Parker BVLS on [-1, 1] against scipy's lsq_linear
+    as the oracle."""
 
     @staticmethod
     def assert_solves(B, a):
-        t, iterations = convex._bvls(B, a)
+        t, iterations = convex._bvls(B, a, -1.0, 1.0)
         r = np.linalg.norm(a - B @ t)
         oracle = lsq_linear(B, a, bounds=(-1.0, 1.0), method="bvls")
         r_oracle = np.linalg.norm(a - B @ oracle.x)
@@ -726,6 +739,19 @@ class TestBvls:
         rng = np.random.default_rng(64)
         for A, b in _nnls_cases(rng, 300):
             self.assert_solves(A * rng.uniform(0.1, 3.0), b * rng.uniform(0.1, 3.0))
+
+    def test_free_variables_are_the_least_squares_solve(self):
+        # so SMINR_AMP margins keep one arithmetic: also a variable freed
+        # alone after every variable was fixed takes lstsq's bits
+        rng = np.random.default_rng(66)
+        for n, m in [(2, 2), (2, 3), (3, 2)] * 200:
+            B = rng.standard_normal((n, m)) * rng.uniform(0.1, 3.0, m)
+            a = rng.standard_normal(n) * rng.uniform(0.1, 5.0)
+            t = self.assert_solves(B, a)
+            free = np.abs(t) < 1.0
+            if free.any():
+                z = np.linalg.lstsq(B[:, free], a - B[:, ~free] @ t[~free], rcond=None)[0]
+                assert np.array_equal(t[free], z)
 
     def test_optima_at_both_bounds_and_inside(self):
         t = self.assert_solves(np.eye(3), np.array([2.0, -3.0, 0.5]))
@@ -751,6 +777,6 @@ class TestBvls:
         B, a = np.eye(2), np.ones(2)
         B[0, 1] = value
         with pytest.raises(ValueError, match="finite"):
-            convex._bvls(B, a)
+            convex._bvls(B, a, -1.0, 1.0)
         with pytest.raises(ValueError, match="finite"):
-            convex._bvls(np.eye(2), np.array([1.0, value]))
+            convex._bvls(np.eye(2), np.array([1.0, value]), -1.0, 1.0)
